@@ -1,8 +1,8 @@
 """Codegen engine benchmark: lane throughput vs the interpreted batched engine.
 
 Measures steady-state lane-cycles/sec of the exec-compiled codegen
-engine (both plane backends: Python big-int and NumPy ``uint64`` word
-arrays) on random-stimulus sweeps of the 16-bit ripple-carry adder,
+engine (Python big-int planes) on random-stimulus sweeps of the 16-bit
+ripple-carry adder,
 against the interpreted batched engine at 1024 lanes -- the lane count
 where the batched engine's per-opcode dispatch cost is already fully
 amortized.  Results are merged into the repo-root
@@ -15,9 +15,7 @@ Used by the CI benchmark-smoke job::
 
 The acceptance bar is 10x: the best point on the codegen lane-scaling
 curve must beat the interpreted batched engine at 1024 lanes by at
-least that factor (measured ~20x at the 16384-lane sweet spot here;
-the NumPy backend takes over past ``NUMPY_LANE_THRESHOLD`` lanes,
-where big-int carries start to hurt).
+least that factor (measured ~20x at the 16384-lane sweet spot).
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ import random
 import time
 
 import repro
-from repro.core.codegen import HAVE_NUMPY
 from repro.stdlib import programs
 
 from bench_batched import merge_into_summary
@@ -46,12 +43,9 @@ def _stimuli(rng, lanes):
     }
 
 
-def _measure(circuit, stim, lanes, cycles, engine, backend="auto"):
+def _measure(circuit, stim, lanes, cycles, engine):
     """Steady-state lane-cycles/sec (one warm-up step before timing)."""
-    kwargs = {"engine": engine, "lanes": lanes}
-    if engine == "codegen":
-        kwargs["backend"] = backend
-    sim = circuit.simulator(**kwargs)
+    sim = circuit.simulator(engine=engine, lanes=lanes)
     if not sim._batched_fast:
         raise RuntimeError("adders must take the bit-parallel path")
     if engine == "codegen" and sim._cg is None:
@@ -82,7 +76,6 @@ def run_benchmark(cycles, seed=0, curve=LANE_CURVE):
         "workload": "adders-sweep",
         "cycles": cycles,
         "baseline_lanes": BASELINE_LANES,
-        "numpy_available": HAVE_NUMPY,
     }
 
     stim = _stimuli(rng, BASELINE_LANES)
@@ -90,25 +83,20 @@ def run_benchmark(cycles, seed=0, curve=LANE_CURVE):
         circuit, stim, BASELINE_LANES, cycles, "batched"
     )
 
-    backends = ("int", "numpy") if HAVE_NUMPY else ("int",)
-    lane_curve: dict[str, dict[str, float]] = {b: {} for b in backends}
-    best = {b: 0.0 for b in backends}
+    int_curve: dict[str, float] = {}
     for lanes in curve:
         lane_stim = stim if lanes == BASELINE_LANES else _stimuli(rng, lanes)
-        for backend in backends:
-            rate, sim = _measure(
-                circuit, lane_stim, lanes, cycles, "codegen", backend
-            )
-            _check_adder(sim, lane_stim)
-            lane_curve[backend][str(lanes)] = rate
-            best[backend] = max(best[backend], rate)
+        rate, sim = _measure(circuit, lane_stim, lanes, cycles, "codegen")
+        _check_adder(sim, lane_stim)
+        int_curve[str(lanes)] = rate
+    best = max(int_curve.values())
 
-    results["lane_curve"] = lane_curve
+    results["lane_curve"] = {"int": int_curve}
     results["lane_cycles_per_s"] = {
         f"batched_{BASELINE_LANES}": batched_rate,
-        **{f"codegen_{b}_best": best[b] for b in backends},
+        "codegen_int_best": best,
     }
-    results["speedup_vs_batched"] = max(best.values()) / batched_rate
+    results["speedup_vs_batched"] = best / batched_rate
     return results
 
 
@@ -130,10 +118,8 @@ def main(argv=None):
     print(f"adders sweep  batched({BASELINE_LANES}) {base:>12,.0f} lane-c/s   "
           f"codegen best {max(v for k, v in rates.items() if 'codegen' in k):>12,.0f}"
           f" lane-c/s   speedup {results['speedup_vs_batched']:.1f}x")
-    for backend, curve in results["lane_curve"].items():
-        for lanes, rate in curve.items():
-            print(f"  {backend:>5} {int(lanes):>7} lanes: "
-                  f"{rate:>13,.0f} lane-cycles/s")
+    for lanes, rate in results["lane_curve"]["int"].items():
+        print(f"  {int(lanes):>7} lanes: {rate:>13,.0f} lane-cycles/s")
     merge_into_summary(args.out, results, key="codegen")
     print(f"wrote {args.out}")
 

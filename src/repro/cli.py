@@ -658,8 +658,6 @@ def _sim_batched(args: argparse.Namespace, circuit: Circuit, registry) -> int:
         sim.step()
     elapsed = time.perf_counter() - t0
     mode = "bit-parallel" if sim._batched_fast else "per-lane fallback"
-    if sim.codegen_backend is not None:
-        mode += f", {sim.codegen_backend} planes"
     print(f"{sim.engine} run: {lanes} lanes x {args.cycles} cycles ({mode})")
     if sim.engine_reason:
         print(f"  ({sim.engine_reason})")

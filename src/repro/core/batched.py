@@ -226,16 +226,17 @@ def execute(
     pokes: dict[int, tuple[int, int, int]],
     reg0: list[int],
     reg1: list[int],
-    lane_rngs: list,
+    lane_rngs: list | None,
     conflict: Callable[[int, int, int, int, int, int], None],
 ) -> None:
     """One bit-parallel combinational pass over the static schedule.
 
     ``mask`` is the all-lanes mask ``(1 << lanes) - 1``; ``vals0``/
     ``vals1`` are the per-class bitplanes (overwritten here); ``pokes``
-    maps a class to ``(plane0, plane1, lane_mask)``; ``conflict(dst,
-    lanes, prior0, prior1, new0, new1)`` records per-lane multi-drive
-    violations (raising in strict mode).
+    maps a class to ``(plane0, plane1, lane_mask)``; ``lane_rngs`` holds
+    one rng per lane, read only by RANDOM ops (None for a schedule
+    without them); ``conflict(dst, lanes, prior0, prior1, new0, new1)``
+    records per-lane multi-drive violations (raising in strict mode).
 
     The op set and resolution rules mirror
     :func:`repro.core.schedule.execute` exactly, lifted to planes; see

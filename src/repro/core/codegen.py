@@ -1,4 +1,4 @@
-"""Per-design code generation: the ``engine="codegen"`` backend.
+"""Per-design code generation: the ``engine="codegen"`` kernel.
 
 The batched engine (:mod:`repro.core.batched`) interprets the levelized
 :class:`~repro.core.schedule.Schedule` opcode by opcode: every pass pays
@@ -23,20 +23,9 @@ once.  A cycle is then a single call of generated code:
   classes that can actually carry NOINFL (multiplex nets, free nets) --
   gate outputs, register outputs and poked inputs provably cannot.
 
-Two backends share the emitter:
-
-* ``"int"`` -- planes are unbounded Python ints, exactly the batched
-  engine's state layout (the :class:`Simulator` reuses its plane lists,
-  pokes and register planes unchanged);
-* ``"numpy"`` -- planes are little-endian ``uint64`` word arrays
-  (``lanes`` packed 64 per word), so the per-op cost stays flat as the
-  lane count grows past the point where Python big-int arithmetic turns
-  quadratic-ish.  Measured on the 16-bit adder gate block: big ints win
-  below ~16k lanes, the word arrays win above (3.6x at 256k lanes).
-
-``backend="auto"`` picks the word-array backend at
-``NUMPY_LANE_THRESHOLD`` lanes and up when NumPy is importable, and
-degrades gracefully to ``"int"`` when it is not.  Any schedule the
+Planes are unbounded Python ints, exactly the batched engine's state
+layout (the :class:`Simulator` reuses its plane lists, pokes and
+register planes unchanged), at every lane count.  Any schedule the
 emitter cannot handle raises :class:`CodegenError`; the caller falls
 back to the interpreted batched path, so ``engine="codegen"`` is never
 less capable than ``engine="batched"``.
@@ -74,56 +63,10 @@ from .schedule import (
 )
 from .values import Logic
 
-try:  # the numpy backend is optional; the int backend is always there
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via HAVE_NUMPY gates
-    _np = None
-
-HAVE_NUMPY = _np is not None
-
-#: Lane count at and above which ``backend="auto"`` picks the uint64
-#: word-array backend (measured crossover of big-int vs numpy plane op
-#: cost on the adders sweep; see EXPERIMENTS.md E16).
-NUMPY_LANE_THRESHOLD = 65536
-
-#: Explicit little-endian uint64, so int <-> word-array conversion via
-#: ``to_bytes(..., "little")`` is correct regardless of host order.
-WORD_DTYPE = _np.dtype("<u8") if HAVE_NUMPY else None
-
-BACKENDS = ("int", "numpy")
-
 
 class CodegenError(Exception):
     """The emitter cannot compile this schedule (the caller should fall
     back to the interpreted batched engine)."""
-
-
-def choose_backend(lanes: int) -> str:
-    """The ``backend="auto"`` rule: word arrays once big-int plane ops
-    stop being competitive, ints (always available) below."""
-    if HAVE_NUMPY and lanes >= NUMPY_LANE_THRESHOLD:
-        return "numpy"
-    return "int"
-
-
-def words_for(lanes: int) -> int:
-    """uint64 words needed to hold *lanes* plane bits."""
-    return (lanes + 63) // 64
-
-
-def int_to_words(value: int, words: int):
-    """One big-int plane -> little-endian uint64 word array."""
-    return _np.frombuffer(
-        value.to_bytes(words * 8, "little"), dtype=WORD_DTYPE
-    )
-
-
-def words_to_int(arr) -> int:
-    """One uint64 word-array plane -> big-int plane (ints pass through,
-    so conflict hooks can receive either representation)."""
-    if isinstance(arr, int):
-        return arr
-    return int.from_bytes(arr.tobytes(), "little")
 
 
 class CompiledStep:
@@ -131,36 +74,31 @@ class CompiledStep:
 
     ``fn(vals0, vals1, pokes, reg0, reg1, lane_rngs, conflict, M)``
     mirrors :func:`repro.core.batched.execute` -- same state layout,
-    same argument meaning, planes either ints or uint64 word arrays
-    depending on :attr:`backend`.  :attr:`source` is the generated
-    Python source (goldens in ``tests/test_codegen.py`` pin it down).
+    same argument meaning.  :attr:`source` is the generated Python
+    source (goldens in ``tests/test_codegen.py`` pin it down).
     """
 
-    __slots__ = ("source", "fn", "backend", "poke_ok", "words", "n_ops")
+    __slots__ = ("source", "fn", "poke_ok", "n_ops")
 
-    def __init__(self, source: str, fn: Callable, backend: str,
-                 poke_ok: frozenset, words: int | None, n_ops: int):
+    def __init__(self, source: str, fn: Callable, poke_ok: frozenset,
+                 n_ops: int):
         self.source = source
         self.fn = fn
-        self.backend = backend
         self.poke_ok = poke_ok
-        self.words = words
         self.n_ops = n_ops
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"CompiledStep(backend={self.backend!r}, "
-            f"{self.n_ops} ops, {len(self.source.splitlines())} lines)"
+            f"CompiledStep({self.n_ops} ops, "
+            f"{len(self.source.splitlines())} lines)"
         )
 
 
 class _Emitter:
     """Schedule -> Python source.  One instance per compile."""
 
-    def __init__(self, sched: Schedule, backend: str):
+    def __init__(self, sched: Schedule):
         self.sched = sched
-        self.backend = backend
-        self.np = backend == "numpy"
         self.lines: list[str] = []
         #: per-class raw plane refs (expression strings), SSA-style.
         self.ref0: list[str | None] = [None] * sched.n
@@ -172,8 +110,6 @@ class _Emitter:
         #: before a gate consumes it).
         self.maybe_noinfl = [False] * sched.n
         self.tmp = 0
-        #: literal for an all-zero plane ("Z" is the shared zero array).
-        self.zero = "Z" if self.np else "0"
 
     # -- small helpers ---------------------------------------------------
 
@@ -183,10 +119,6 @@ class _Emitter:
     def fresh(self) -> str:
         self.tmp += 1
         return f"t{self.tmp}"
-
-    def truth(self, expr: str) -> str:
-        """A boolean test of a plane expression (arrays need .any())."""
-        return f"{expr}.any()" if self.np else expr
 
     def set_raw(self, i: int, r0: str, r1: str, noinfl: bool) -> None:
         self.ref0[i] = r0
@@ -208,7 +140,7 @@ class _Emitter:
         reads as UNDEF).  Emitted at most once per class."""
         if self.amp0[i] is None:
             r0, r1 = self.ref0[i], self.ref1[i]
-            if r0 == self.zero and r1 == self.zero:
+            if r0 == "0" and r1 == "0":
                 # A constant NOINFL (free net) amplifies to UNDEF.
                 self.amp0[i] = self.amp1[i] = "M"
             else:
@@ -225,7 +157,7 @@ class _Emitter:
         from .batched import LOGIC_PLANES
 
         b0, b1 = LOGIC_PLANES[value]
-        return ("M" if b0 else self.zero, "M" if b1 else self.zero)
+        return ("M" if b0 else "0", "M" if b1 else "0")
 
     # -- emission --------------------------------------------------------
 
@@ -239,7 +171,7 @@ class _Emitter:
 
         # Source firings (cycle start), mirroring batched.execute.
         for i in sched.free_nets:
-            self.set_raw(i, self.zero, self.zero, noinfl=True)
+            self.set_raw(i, "0", "0", noinfl=True)
         poke_ok = self._emit_input_defaults()
         for ri, qi in sched.reg_pairs:
             # Register planes are never NOINFL: they start UNDEF and the
@@ -277,7 +209,7 @@ class _Emitter:
             self.emit(f"pk = get_poke({i})")
             self.emit("if pk is None:")
             self.emit(f"p{i} = M", 2)
-            self.emit(f"q{i} = {'M' if undef else self.zero}", 2)
+            self.emit(f"q{i} = {'M' if undef else '0'}", 2)
             self.emit("else:")
             self.emit("t0, t1, pm = pk", 2)
             self.emit("f = M ^ pm", 2)
@@ -295,12 +227,8 @@ class _Emitter:
         self.emit("if rng.random() < 0.5:", 2)
         self.emit("ones |= bit", 3)
         self.emit("bit <<= 1", 2)
-        if self.np:
-            self.emit(f"q{out} = I2W(ones)")
-            self.emit(f"p{out} = M ^ q{out}")
-        else:
-            self.emit(f"p{out} = M ^ ones")
-            self.emit(f"q{out} = ones")
+        self.emit(f"p{out} = M ^ ones")
+        self.emit(f"q{out} = ones")
         self.set_raw(out, f"p{out}", f"q{out}", noinfl=False)
 
     def _emit_op(self, op: tuple) -> None:
@@ -392,19 +320,18 @@ class _Emitter:
         """Constant-fold a plane xor: every plane value is a subset of
         the lane mask ``M``, so ``x ^ 0 = x`` and ``x ^ x = 0`` hold,
         and ``M`` is the all-lanes constant."""
-        if a == self.zero:
+        if a == "0":
             return b
-        if b == self.zero:
+        if b == "0":
             return a
         if a == b:
-            return self.zero
+            return "0"
         return f"{a} ^ {b}"
 
     def _and(self, a: str, b: str) -> str:
         """Constant-fold a plane and (same subset-of-M invariant)."""
-        Z = self.zero
-        if a == Z or b == Z:
-            return Z
+        if a == "0" or b == "0":
+            return "0"
         if a == "M":
             return b
         if b == "M":
@@ -418,14 +345,13 @@ class _Emitter:
         as a defined bit pair differs, UNDEF when any pair is undefined
         and none differ.  The plane form is amplification-invariant, so
         raw refs are fine."""
-        Z = self.zero
         diff_terms = []
         undef_terms = []
         for ai, bi in pairs:
             a0, a1 = self.ref0[ai], self.ref1[ai]
             b0, b1 = self.ref0[bi], self.ref1[bi]
             both = self._and(self._xor(a0, a1), self._xor(b0, b1))
-            if both == Z:
+            if both == "0":
                 # This bit pair is never both-defined: it can only
                 # contribute "undefined", never a decided difference.
                 undef_terms.append("M")
@@ -433,25 +359,25 @@ class _Emitter:
             if both == "M":
                 # Always both-defined: no undefined contribution.
                 dx = self._xor(a1, b1)
-                if dx != Z:
+                if dx != "0":
                     diff_terms.append(f"({dx})" if " " in dx else dx)
                 continue
             bd = self.fresh()
             self.emit(f"{bd} = {both}")
             dx = self._xor(a1, b1)
-            if dx != Z:
+            if dx != "0":
                 diff_terms.append(f"({self._and(bd, dx)})")
             undef_terms.append(f"(M ^ {bd})")
         if diff_terms:
             d = self.fresh()
             self.emit(f"{d} = {' | '.join(diff_terms)}")
         else:
-            d = Z
-        parts0 = ([d] if d != Z else []) + undef_terms
+            d = "0"
+        parts0 = ([d] if d != "0" else []) + undef_terms
         self.define(
             out,
-            " | ".join(parts0) if parts0 else Z,
-            "M" if d == Z else f"M ^ {d}",
+            " | ".join(parts0) if parts0 else "0",
+            "M" if d == "0" else f"M ^ {d}",
             noinfl=False,
         )
 
@@ -461,8 +387,7 @@ class _Emitter:
         lane through the ``conflict`` hook.  Pokes on multiplex classes
         are exotic (interpreter fallback), so the accumulators start
         empty."""
-        Z = self.zero
-        self.emit(f"ac0 = ac1 = dv = mb = cf = {Z}")
+        self.emit("ac0 = ac1 = dv = mb = cf = 0")
         first = True
         for cond, src, const in drivers:
             depth = 1
@@ -472,7 +397,7 @@ class _Emitter:
                 # Guard UNDEF -- or a floating NOINFL guard -- *may*
                 # drive: poisons the lane without counting as a drive.
                 self.emit(f"mb = mb | (M ^ (on | ({c0} & ~{c1})))")
-                self.emit(f"if {self.truth('on')}:")
+                self.emit("if on:")
                 depth = 2
                 on = "on"
             else:
@@ -487,25 +412,16 @@ class _Emitter:
                     d0, d1 = "d0", "d1"
             else:
                 e0, e1 = self.const_planes(const)
-                d0 = on if e0 == "M" else Z
-                d1 = on if e1 == "M" else Z
+                d0 = on if e0 == "M" else "0"
+                d1 = on if e1 == "M" else "0"
             self.emit(f"dr = {d0} | {d1}", depth)
-            self.emit(f"if {self.truth('dr')}:", depth)
+            self.emit("if dr:", depth)
             if not first:
                 self.emit(f"cl = dv & dr", depth + 1)
-                self.emit(f"if {self.truth('cl')}:", depth + 1)
-                if self.np:
-                    self.emit(
-                        "conflict("
-                        f"{dst}, W2I(cl), W2I(ac0), W2I(ac1), "
-                        f"W2I({d0}), W2I({d1}))",
-                        depth + 2,
-                    )
-                else:
-                    self.emit(
-                        f"conflict({dst}, cl, ac0, ac1, {d0}, {d1})",
-                        depth + 2,
-                    )
+                self.emit("if cl:", depth + 1)
+                self.emit(
+                    f"conflict({dst}, cl, ac0, ac1, {d0}, {d1})", depth + 2
+                )
                 self.emit("cf = cf | cl", depth + 2)
             self.emit(f"ac0 = ac0 | {d0}", depth + 1)
             self.emit(f"ac1 = ac1 | {d1}", depth + 1)
@@ -520,7 +436,7 @@ class _Emitter:
             self.emit(f"{name}[:] = [")
             row: list[str] = []
             for r in refs:
-                row.append(r if r is not None else self.zero)
+                row.append(r if r is not None else "0")
                 if len(row) == 10:
                     self.emit("    " + ", ".join(row) + ",")
                     row = []
@@ -530,75 +446,16 @@ class _Emitter:
 
 
 def compile_step(
-    sched: Schedule,
-    *,
-    backend: str = "int",
-    lanes: int | None = None,
-    func_name: str = "zeus_step",
+    sched: Schedule, *, func_name: str = "zeus_step"
 ) -> CompiledStep:
-    """Compile *sched* into one :class:`CompiledStep`.
-
-    ``backend="int"`` needs nothing extra; ``backend="numpy"`` needs
-    *lanes* (for the word count) and an importable NumPy, else
-    :class:`CodegenError`."""
-    if backend == "auto":
-        backend = choose_backend(lanes or 0)
-    if backend not in BACKENDS:
-        raise CodegenError(
-            f"unknown codegen backend {backend!r}; expected one of "
-            f"{BACKENDS} or 'auto'"
-        )
-    words = None
-    if backend == "numpy":
-        if not HAVE_NUMPY:
-            raise CodegenError("numpy backend requested but numpy is "
-                               "not importable")
-        if lanes is None:
-            raise CodegenError("numpy backend needs the lane count")
-        words = words_for(lanes)
-
-    emitter = _Emitter(sched, backend)
-    source, poke_ok = emitter.compile(func_name)
-
+    """Compile *sched* into one :class:`CompiledStep`."""
+    source, poke_ok = _Emitter(sched).compile(func_name)
     namespace: dict = {}
-    if backend == "numpy":
-        namespace["Z"] = _np.zeros(words, dtype=WORD_DTYPE)
-        namespace["I2W"] = lambda v, _w=words: int_to_words(v, _w)
-        namespace["W2I"] = words_to_int
     try:
-        code = compile(source, f"<zeus-codegen:{backend}>", "exec")
+        code = compile(source, "<zeus-codegen>", "exec")
     except SyntaxError as exc:  # pragma: no cover - emitter bug guard
         raise CodegenError(f"generated source does not compile: {exc}")
     exec(code, namespace)
     return CompiledStep(
-        source, namespace[func_name], backend, poke_ok, words,
-        len(sched.ops),
+        source, namespace[func_name], poke_ok, len(sched.ops)
     )
-
-
-def lane_mask_words(lanes: int):
-    """The all-lanes mask as a word array (tail bits zero, so every
-    masked expression keeps the unused high bits clear)."""
-    return int_to_words((1 << lanes) - 1, words_for(lanes))
-
-
-def pokes_to_words(pokes: dict, words: int) -> dict:
-    """A bigint poke table -> word-array poke table (same keys)."""
-    return {
-        i: (
-            int_to_words(p0, words),
-            int_to_words(p1, words),
-            int_to_words(pm, words),
-        )
-        for i, (p0, p1, pm) in pokes.items()
-    }
-
-
-def planes_to_words(planes: list[int], words: int) -> list:
-    """Bigint plane list -> word-array plane list."""
-    return [int_to_words(v, words) for v in planes]
-
-
-def planes_to_ints(planes: list) -> list[int]:
-    """Word-array plane list -> bigint plane list."""
-    return [words_to_int(a) for a in planes]

@@ -104,13 +104,11 @@ class Simulator:
       :attr:`engine_reason`);
     * ``"codegen"`` -- the batched engine's lane model with the
       interpreter compiled away: the schedule is emitted as one
-      exec-compiled Python function at construction (see
-      :mod:`repro.core.codegen`), either over big-int planes
-      (``backend="int"``) or NumPy uint64 word arrays
-      (``backend="numpy"``; ``backend="auto"`` picks by lane count).
-      Same lane API, same observations; exotic pokes (INOUT pins,
-      internal nets, NOINFL lanes) transparently run the interpreted
-      batched pass instead.
+      exec-compiled Python function over the same big-int planes at
+      construction (see :mod:`repro.core.codegen`).  Same lane API,
+      same observations; exotic pokes (INOUT pins, internal nets,
+      NOINFL lanes) transparently run the interpreted batched pass
+      instead.
 
     ``engine="auto"`` (the default) selects the levelized engine whenever
     a schedule can be built, and otherwise falls back to dataflow with
@@ -128,7 +126,6 @@ class Simulator:
         metrics: bool = False,
         engine: str = "auto",
         lanes: int = 64,
-        backend: str = "auto",
         flight=None,
         schedule: Schedule | None = None,
     ):
@@ -242,16 +239,9 @@ class Simulator:
         self._schedule: Schedule | None = None
         #: lane count on the batched engine, None on the scalar engines.
         self.lanes: int | None = None
-        #: the active CompiledStep on the codegen engine (None while the
-        #: interpreted batched pass runs instead), and the construction-
-        #: time compile it can be restored to by :meth:`reset_state`.
+        #: the CompiledStep on the codegen engine (None when the schedule
+        #: did not compile and the interpreted batched pass runs instead).
         self._cg = None
-        self._cg_compiled = None
-        #: codegen backend name ("int"/"numpy"), None off codegen.
-        self.codegen_backend: str | None = None
-        self._cg_np_ran = False
-        self._cg_vals_stale = False
-        self._cg_regs_stale = False
         if engine in ("batched", "codegen"):
             if lanes < 1:
                 raise ValueError(f"{engine} engine needs lanes >= 1, got {lanes}")
@@ -263,7 +253,12 @@ class Simulator:
             self.engine = engine
             self.lanes = lanes
             self._lane_mask = (1 << lanes) - 1
-            self._lane_rngs = [random.Random(seed + k) for k in range(lanes)]
+            #: lane k's rng, seeded seed + k; only RANDOM gates read
+            #: them, so designs without one build none.
+            self._lane_rngs = (
+                [random.Random(seed + k) for k in range(lanes)]
+                if self._has_random else None
+            )
             self._bvals0 = [0] * n
             self._bvals1 = [0] * n
             self._bpokes: dict[int, tuple[int, int, int]] = {}
@@ -293,22 +288,16 @@ class Simulator:
 
                 try:
                     with span("codegen", design=self.design.name):
-                        self._cg_compiled = compile_step(
-                            self._schedule, backend=backend, lanes=lanes
-                        )
+                        self._cg = compile_step(self._schedule)
                 except CodegenError as exc:
                     self.engine_reason = (
                         f"codegen fallback to interpreted batched: {exc}"
                     )
                 else:
-                    self._cg = self._cg_compiled
-                    self.codegen_backend = self._cg.backend
                     #: poke table changed since the last compiled-pass
                     #: eligibility check.
                     self._cg_dirty = True
                     self._cg_pokes_ok = True
-                    if self._cg.backend == "numpy":
-                        self._cg_init_numpy_state()
         elif engine == "dataflow":
             self.engine_reason = "dataflow engine requested"
         elif engine == "auto" and self.metrics.keep_firing_log:
@@ -332,12 +321,8 @@ class Simulator:
                 self.engine_reason = str(exc)
         self.metrics.engine = self.engine
         self.metrics.lanes = self.lanes
-        self.metrics.backend = self.codegen_backend
         if self.lanes is not None:
             self.metrics.fast_path = self._batched_fast
-            #: construction-time reason, restored when a numpy-backend
-            #: demotion is undone by reset_state.
-            self._cg_reason0 = self.engine_reason
 
         # Flight recorder (repro.obs.flight): ``flight=N`` is shorthand
         # for a fresh recorder holding the last N cycles.
@@ -519,8 +504,6 @@ class Simulator:
                 "peek_lanes needs engine='batched' "
                 f"(this simulator runs {self.engine!r})"
             )
-        if self._cg_vals_stale:
-            self._cg_sync_vals()
         per_net: list[list[Logic]] = []
         for net in self.nets_of(path):
             i = self._idx(net)
@@ -539,8 +522,6 @@ class Simulator:
             )
         if not 0 <= lane < self.lanes:
             raise ValueError(f"lane {lane} out of range 0..{self.lanes - 1}")
-        if self._cg_vals_stale:
-            self._cg_sync_vals()
         out: list[Logic] = []
         for net in self.nets_of(path):
             i = self._idx(net)
@@ -587,12 +568,6 @@ class Simulator:
         *seed* is given -- the lane rng reseeded so the lane behaves
         like a scalar run constructed with that seed."""
         bit = self._lane_bit(lane)
-        if self._cg_vals_stale:
-            self._cg_sync_vals()
-        if self._cg_regs_stale:
-            self._cg_sync_regs()
-        if self._cg is not None and self._cg.backend == "numpy":
-            self._cg_demote("lane session reset")
         for ri in range(len(self._breg0)):
             self._breg0[ri] |= bit
             self._breg1[ri] |= bit
@@ -600,7 +575,7 @@ class Simulator:
             self._bvals0[i] |= bit
             self._bvals1[i] |= bit
         self._clear_lane_pokes(bit)
-        if seed is not None:
+        if seed is not None and self._lane_rngs is not None:
             self._lane_rngs[lane] = random.Random(seed)
         self._values_stale = True
         self._cg_dirty = True
@@ -694,14 +669,6 @@ class Simulator:
         fmask = M & ~amask
         if not amask:
             return []
-        if self._cg is not None and self._cg.backend == "numpy":
-            # The numpy backend has no cheap per-lane merge; run the
-            # session workload on big-int planes instead.
-            if self._cg_vals_stale:
-                self._cg_sync_vals()
-            if self._cg_regs_stale:
-                self._cg_sync_regs()
-            self._cg_demote("lane-masked stepping")
         fresh: list[Violation] = []
         snapshot_rngs = bool(fmask) and self._has_random
         strict = self.strict
@@ -758,9 +725,6 @@ class Simulator:
 
     def _latch_lanes(self, amask: int) -> None:
         """The batched latch rule restricted to the lanes of *amask*."""
-        if self._cg_np_ran:  # pragma: no cover - numpy is demoted above
-            self._latch_codegen_numpy()
-            return
         mon = self._metrics_on
         b0 = self._bvals0
         b1 = self._bvals1
@@ -851,7 +815,6 @@ class Simulator:
         into ``self.values`` so scalar peeks and traces keep working."""
         mon = self.metrics.enabled
         self._metrics_on = mon
-        self._cg_np_ran = False
         if self._batched_fast:
             cg = self._cg
             if cg is not None:
@@ -860,10 +823,6 @@ class Simulator:
                 if not self._cg_pokes_ok:
                     # An exotic poke (INOUT pin, internal net, NOINFL
                     # lane): the generated function cannot merge it.
-                    if cg.backend == "numpy":
-                        self._cg_demote(
-                            "a poke outside the compiled input set"
-                        )
                     cg = None
             if cg is None:
                 _execute_batched(
@@ -877,19 +836,6 @@ class Simulator:
                     self._lane_rngs,
                     self._lane_conflict,
                 )
-            elif cg.backend == "numpy":
-                cg.fn(
-                    self._cg_v0,
-                    self._cg_v1,
-                    self._cg_np_pokes,
-                    self._cg_r0,
-                    self._cg_r1,
-                    self._lane_rngs,
-                    self._lane_conflict,
-                    self._cg_M,
-                )
-                self._cg_np_ran = True
-                self._cg_vals_stale = True
             else:
                 cg.fn(
                     self._bvals0,
@@ -913,8 +859,6 @@ class Simulator:
         """Copy lane 0 out of the planes into ``self.values`` (deferred
         until something actually reads scalar values: a pure batched
         sweep never pays this per cycle)."""
-        if self._cg_vals_stale:
-            self._cg_sync_vals()
         PL = PLANE_LOGIC
         self.values = [
             PL[(x & 1) | ((y & 1) << 1)]
@@ -924,74 +868,18 @@ class Simulator:
 
     # -- codegen engine plumbing ----------------------------------------------
 
-    def _cg_init_numpy_state(self) -> None:
-        """Fresh word-array state for the numpy codegen backend.  The
-        big-int planes (``_bvals*``/``_breg*``) stay allocated as lazy
-        mirrors, re-synced on demand (peeks, registers, fallback)."""
-        from .codegen import int_to_words, lane_mask_words
-
-        words = self._cg_compiled.words
-        n = len(self._canon_ids)
-        self._cg_M = lane_mask_words(self.lanes)
-        zero = int_to_words(0, words)
-        self._cg_v0 = [zero] * n
-        self._cg_v1 = [zero] * n
-        n_regs = len(self._breg0)
-        self._cg_r0 = [self._cg_M] * n_regs
-        self._cg_r1 = [self._cg_M] * n_regs
-        self._cg_np_pokes: dict[int, tuple] = {}
-        self._cg_vals_stale = False
-        self._cg_regs_stale = False
-
     def _cg_refresh_pokes(self) -> None:
         """Re-check poke eligibility after the poke table changed: the
         generated function only merges non-NOINFL pokes on the compiled
         input set (anything else runs the interpreted pass)."""
-        cg = self._cg
         ok = True
-        poke_ok = cg.poke_ok
+        poke_ok = self._cg.poke_ok
         for i, (p0, p1, pm) in self._bpokes.items():
             if i not in poke_ok or pm & ~(p0 | p1):
                 ok = False
                 break
         self._cg_pokes_ok = ok
-        if ok and cg.backend == "numpy":
-            from .codegen import pokes_to_words
-
-            self._cg_np_pokes = pokes_to_words(self._bpokes, cg.words)
         self._cg_dirty = False
-
-    def _cg_sync_vals(self) -> None:
-        """Word-array value planes -> big-int mirrors (for peeks, lane-0
-        materialization and the interpreted paths)."""
-        from .codegen import planes_to_ints
-
-        self._bvals0 = planes_to_ints(self._cg_v0)
-        self._bvals1 = planes_to_ints(self._cg_v1)
-        self._cg_vals_stale = False
-
-    def _cg_sync_regs(self) -> None:
-        """Word-array register planes -> big-int mirrors."""
-        from .codegen import planes_to_ints
-
-        self._breg0 = planes_to_ints(self._cg_r0)
-        self._breg1 = planes_to_ints(self._cg_r1)
-        self._cg_regs_stale = False
-
-    def _cg_demote(self, why: str) -> None:
-        """Permanently drop the numpy codegen backend back to the
-        interpreted batched pass (big-int planes); :meth:`reset_state`
-        restores the compiled function.  Per-pass switching would pay an
-        array<->int conversion of every net per cycle, so demotion is
-        sticky instead."""
-        if self._cg_vals_stale:
-            self._cg_sync_vals()
-        if self._cg_regs_stale:
-            self._cg_sync_regs()
-        self._cg = None
-        self.engine_reason = (
-            f"codegen numpy backend demoted to interpreted batched: {why}"
-        )
 
     def _evaluate_batched_fallback(self) -> None:
         """Per-lane dataflow fallback: identical lane semantics at
@@ -1003,6 +891,7 @@ class Simulator:
         out0 = [0] * n
         out1 = [0] * n
         saved_rng = self.rng
+        rngs = self._lane_rngs
         metrics_were_on = m.enabled
         # The per-lane passes must not multiply the activity counters;
         # violations are re-counted from the list delta below.
@@ -1019,7 +908,8 @@ class Simulator:
                     lane_value(self._breg0[ri], self._breg1[ri], k)
                     for ri in range(len(self._breg0))
                 ]
-                self.rng = self._lane_rngs[k]
+                if rngs is not None:
+                    self.rng = rngs[k]
                 before = len(self.violations)
                 try:
                     self._evaluate_dataflow()
@@ -1343,10 +1233,7 @@ class Simulator:
 
     def _latch(self) -> None:
         if self.lanes is not None:
-            if self._cg_np_ran:
-                self._latch_codegen_numpy()
-            else:
-                self._latch_batched()
+            self._latch_batched()
             return
         mon = self._metrics_on
         for ri, di in enumerate(self._reg_d):
@@ -1377,37 +1264,6 @@ class Simulator:
             if mon:
                 self.metrics.latches += driving.bit_count()
 
-    def _latch_codegen_numpy(self) -> None:
-        """The batched latch rule over uint64 word arrays.  Arrays are
-        never mutated in place (the generated function may alias planes
-        across nets), so the merge rebinds fresh arrays."""
-        import numpy as np
-
-        mon = self._metrics_on
-        M = self._cg_M
-        v0 = self._cg_v0
-        v1 = self._cg_v1
-        r0 = self._cg_r0
-        r1 = self._cg_r1
-        for ri, di in enumerate(self._reg_d):
-            d0 = v0[di]
-            d1 = v1[di]
-            driving = d0 | d1
-            if not driving.any():
-                continue
-            keep = M & ~driving
-            r0[ri] = (r0[ri] & keep) | d0
-            r1[ri] = (r1[ri] & keep) | d1
-            if mon:
-                self.metrics.latches += int(
-                    np.bitwise_count(driving).sum()
-                )
-        self._cg_regs_stale = True
-        if self.flight is not None:
-            # The flight recorder reads the big-int register planes
-            # directly when it records this cycle.
-            self._cg_sync_regs()
-
     # -- state management ------------------------------------------------------
 
     def reset_state(self) -> None:
@@ -1436,16 +1292,7 @@ class Simulator:
             # A pre-reset pass may have left lane 0 marked dirty; the
             # fresh planes above are the truth now.
             self._values_stale = False
-            self._cg_np_ran = False
-            if self._cg_compiled is not None:
-                # Undo any numpy-backend demotion: the compiled function
-                # is valid again for the fresh (unpoked) state.
-                self._cg = self._cg_compiled
-                self._cg_dirty = True
-                self._cg_pokes_ok = True
-                self.engine_reason = self._cg_reason0
-                if self._cg.backend == "numpy":
-                    self._cg_init_numpy_state()
+            self._cg_dirty = True
 
     def registers(self, lane: int | None = None) -> dict[str, Logic]:
         """Current register contents by instance path.
@@ -1458,8 +1305,6 @@ class Simulator:
                 raise ValueError(
                     f"lane {k} out of range 0..{self.lanes - 1}"
                 )
-            if self._cg_regs_stale:
-                self._cg_sync_regs()
             return {
                 reg.name or f"$reg{reg.id}": lane_value(
                     self._breg0[i], self._breg1[i], k

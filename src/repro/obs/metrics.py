@@ -59,9 +59,6 @@ class SimMetrics:
         #: False on its per-lane dataflow fallback, None on scalar
         #: engines; set by the owning Simulator, survives reset().
         self.fast_path: bool | None = None
-        #: codegen plane backend ("int"/"numpy"), None off the codegen
-        #: engine; set by the owning Simulator, survives reset().
-        self.backend: str | None = None
 
     def reset(self) -> None:
         n, g = len(self.net_names), len(self.gate_labels)
@@ -173,8 +170,6 @@ class SimMetrics:
                 "lane_cycles": self.lane_cycles,
                 "fast_path": bool(self.fast_path),
             }
-            if self.backend is not None:
-                report["batched"]["backend"] = self.backend
         return report
 
     def render(self, top: int = 10) -> str:
@@ -183,8 +178,6 @@ class SimMetrics:
         engine = self.engine
         if self.lanes is not None:
             mode = "bit-parallel" if self.fast_path else "per-lane fallback"
-            if self.backend is not None:
-                mode += f", {self.backend} planes"
             engine = f"{engine} ({self.lanes} lanes, {mode})"
         lines = [
             f"engine            : {engine}",

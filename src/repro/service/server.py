@@ -739,10 +739,14 @@ class ZeusDaemon:
                 batch = {s: 1 for s in state.want}
                 async with state.lock:
                     await asyncio.to_thread(state.mux.step_many, batch)
-                for s in list(state.want):
-                    state.want[s] -= 1
-                    if state.want[s] <= 0:
-                        del state.want[s]
+                # Charge only the sessions this pass moved: a session
+                # that joined while it ran waits for the next pass, and
+                # one detached meanwhile owes nothing.
+                for s in batch:
+                    if s in state.want:
+                        state.want[s] -= 1
+                        if state.want[s] <= 0:
+                            del state.want[s]
                 # Pulse the waiters, re-arm, then yield so joiners can
                 # enqueue before the next pass.
                 state.event.set()

@@ -64,8 +64,6 @@ class Testbench:
     Setting ``lanes`` selects the batched engine (unless another engine
     is named explicitly): scalar drives/expects then observe lane 0,
     and :meth:`drive_batch` / :meth:`peek_lanes` address all lanes.
-    ``backend`` picks the codegen plane representation ("auto", "int",
-    "numpy").
     ``flight`` records the last N cycles in a flight recorder
     (``tb.sim.flight``) for post-mortem causal explanation
     (:func:`repro.obs.explain`).
@@ -79,7 +77,6 @@ class Testbench:
     reset_signal: str = "RSET"
     engine: str = "auto"
     lanes: int | None = None
-    backend: str = "auto"
     flight: int | None = None
     sim: Simulator = field(init=False)
     #: cycle-indexed log of expect() checks that passed, for reporting.
@@ -90,8 +87,7 @@ class Testbench:
         if self.lanes is not None and engine == "auto":
             engine = "batched"
         kwargs: dict[str, Any] = dict(
-            strict=self.strict, seed=self.seed, engine=engine,
-            backend=self.backend,
+            strict=self.strict, seed=self.seed, engine=engine
         )
         if self.lanes is not None:
             kwargs["lanes"] = self.lanes

@@ -1,6 +1,6 @@
 """The exec-compiled codegen engine (:mod:`repro.core.codegen`).
 
-Covers, for both plane backends (big-int and NumPy word arrays):
+Covers:
 
 * opcode agreement with :data:`repro.core.values.GATE_FUNCTIONS` over
   every ``4^k`` operand combination (hypothesis drives random mixes);
@@ -8,16 +8,18 @@ Covers, for both plane backends (big-int and NumPy word arrays):
   NOINFL into a gate, which must read it as UNDEF);
 * a generated-source golden file for one stdlib design (mux4) so
   unintended emission changes show up in review;
-* the exotic-poke contract: the int backend falls back to the
-  interpreter per pass, the numpy backend demotes permanently until
-  ``reset_state``;
+* the exotic-poke contract: the interpreter runs the passes that see
+  an exotic poke, the compiled function every other pass;
 * the four-engine differential fuzz slice (dataflow oracle);
-* graceful degradation when NumPy is absent;
+* a lane count above 65536 that is not a multiple of 64;
 * the flight-recorder ``reset``/rebind regressions (stale pre-reset
   snapshots must never leak into a later explain window).
 """
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -25,70 +27,33 @@ from hypothesis import strategies as st
 
 import repro
 from repro.analysis.fuzzgen import differential_check, generate_program
-from repro.core import codegen
-from repro.core.codegen import (
-    CodegenError,
-    CompiledStep,
-    HAVE_NUMPY,
-    NUMPY_LANE_THRESHOLD,
-    choose_backend,
-    compile_step,
-    int_to_words,
-    words_for,
-    words_to_int,
-)
+from repro.core.codegen import CompiledStep, compile_step
 from repro.core.values import GATE_FUNCTIONS, Logic
 from repro.obs.flight import FlightRecorder
 from repro.stdlib import programs
+from repro.testbench import Testbench
 from zeus_test_utils import compile_ok
 
 import itertools
 
 ALL_LOGIC = [Logic.ZERO, Logic.ONE, Logic.UNDEF, Logic.NOINFL]
 
-BACKENDS = ("int", "numpy") if HAVE_NUMPY else ("int",)
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not importable")
-
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "mux4_codegen_int.txt"
 
 
-def _codegen_sim(circuit, lanes, backend="int", **kw):
-    sim = circuit.simulator(engine="codegen", lanes=lanes, backend=backend, **kw)
+def _codegen_sim(circuit, lanes, **kw):
+    sim = circuit.simulator(engine="codegen", lanes=lanes, **kw)
     assert sim._cg is not None, sim.engine_reason
-    assert sim.codegen_backend == backend
     return sim
 
 
-# -- backend selection and word packing -----------------------------------
+# -- one plane representation ---------------------------------------------
 
 
 class TestHelpers:
-    def test_choose_backend_threshold(self):
-        assert choose_backend(1) == "int"
-        assert choose_backend(NUMPY_LANE_THRESHOLD - 1) == "int"
-        want = "numpy" if HAVE_NUMPY else "int"
-        assert choose_backend(NUMPY_LANE_THRESHOLD) == want
-
-    def test_words_for(self):
-        assert words_for(1) == 1
-        assert words_for(64) == 1
-        assert words_for(65) == 2
-
-    @needs_numpy
-    @given(st.integers(min_value=0, max_value=(1 << 200) - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_word_roundtrip(self, value):
-        words = words_for(200)
-        arr = int_to_words(value, words)
-        assert len(arr) == words
-        assert words_to_int(arr) == value
-
-    @needs_numpy
-    def test_words_to_int_passes_ints_through(self):
-        assert words_to_int(41) == 41
-
     def test_unknown_backend_raises(self):
+        """Planes are Python ints at every lane count: no entry point
+        takes a ``backend=`` option."""
         circuit = compile_ok(
             """
             TYPE t = COMPONENT (IN a: boolean; OUT y: boolean) IS
@@ -96,9 +61,31 @@ class TestHelpers:
             SIGNAL u: t;
             """
         )
-        sim = circuit.simulator(engine="codegen", lanes=2, backend="cuda")
-        assert sim._cg is None
-        assert "fallback" in sim.engine_reason
+        with pytest.raises(TypeError, match="backend"):
+            circuit.simulator(engine="codegen", lanes=2, backend="int")
+        with pytest.raises(TypeError, match="backend"):
+            Testbench(circuit, lanes=2, engine="codegen", backend="int")
+        sched = circuit.simulator(engine="batched", lanes=2)._schedule
+        with pytest.raises(TypeError, match="backend"):
+            compile_step(sched, backend="int")
+
+    def test_lane_kernel_imports_no_numpy(self):
+        """A fresh interpreter: the scalar path never loads the codegen
+        module, and the lane kernel loads no NumPy."""
+        probe = (
+            "import sys, repro\n"
+            "from repro.stdlib import programs\n"
+            "c = repro.compile_text(programs.ALL_PROGRAMS['mux4'])\n"
+            "c.simulator().step()\n"
+            "assert 'repro.core.codegen' not in sys.modules\n"
+            "c.simulator(engine='codegen', lanes=70000).step()\n"
+            "assert 'repro.core.codegen' in sys.modules\n"
+            "assert 'numpy' not in sys.modules\n"
+        )
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                       timeout=120)
 
 
 # -- opcode agreement (mirrors tests/test_batched.py for codegen) ---------
@@ -149,14 +136,13 @@ GATE_CASES = [
 
 
 class TestOpcodeAgreement:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("op,arity", GATE_CASES)
-    def test_all_operand_combinations(self, op, arity, backend):
+    def test_all_operand_combinations(self, op, arity):
         """One lane per element of {0,1,UNDEF,NOINFL}^arity: the
         compiled function must reproduce the scalar gate table."""
         circuit = _gate_circuit(op, arity)
         combos = list(itertools.product(ALL_LOGIC, repeat=arity))
-        sim = _codegen_sim(circuit, len(combos), backend)
+        sim = _codegen_sim(circuit, len(combos))
         for j in range(arity):
             sim.poke_lanes(f"i{j}", [combo[j] for combo in combos])
         sim.step()
@@ -164,12 +150,11 @@ class TestOpcodeAgreement:
         for k, combo in enumerate(combos):
             expected = GATE_FUNCTIONS[op](list(combo))
             assert got[k] is expected, (
-                f"{op}{combo} [{backend}]: codegen lane {k} gave "
+                f"{op}{combo}: codegen lane {k} gave "
                 f"{got[k]}, scalar table says {expected}"
             )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_equal_against_constants(self, backend):
+    def test_equal_against_constants(self):
         """EQUAL with a constant operand exercises the constant-folded
         emission path (``x ^ 0``/``x & M`` elided)."""
         for const in ("0", "1"):
@@ -180,7 +165,7 @@ class TestOpcodeAgreement:
                 SIGNAL u: t;
                 """
             )
-            sim = _codegen_sim(circuit, len(ALL_LOGIC), backend)
+            sim = _codegen_sim(circuit, len(ALL_LOGIC))
             sim.poke_lanes("i0", ALL_LOGIC)
             sim.step()
             got = [v[0] for v in sim.peek_lanes("y")]
@@ -232,13 +217,12 @@ class TestAmplification:
     SIGNAL u: t;
     """
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_off_guard_noinfl_reads_as_undef(self, backend):
+    def test_off_guard_noinfl_reads_as_undef(self):
         """With the guard off, ``p`` is NOINFL; the gate input must
         amplify it to UNDEF exactly as the interpreters do."""
         circuit = compile_ok(self.NOINFL_FEED)
         cases = [(a, g) for a in ALL_LOGIC for g in (Logic.ZERO, Logic.ONE)]
-        sim = _codegen_sim(circuit, len(cases), backend)
+        sim = _codegen_sim(circuit, len(cases))
         sim.poke_lanes("a", [a for a, _ in cases])
         sim.poke_lanes("g", [g for _, g in cases])
         sim.step()
@@ -248,7 +232,7 @@ class TestAmplification:
             ref.poke("a", a)
             ref.poke("g", g)
             ref.step()
-            assert got[k] is ref.peek("y")[0], (backend, a, g)
+            assert got[k] is ref.peek("y")[0], (a, g)
 
 
 # -- generated-source golden ----------------------------------------------
@@ -258,10 +242,10 @@ class TestGeneratedSource:
     def _mux4_step(self):
         circuit = repro.compile_text(programs.ALL_PROGRAMS["mux4"], name="mux4")
         return compile_step(circuit.simulator(engine="batched", lanes=8)
-                            ._schedule, backend="int")
+                            ._schedule)
 
     def test_mux4_matches_golden(self):
-        """The emitted int-backend source for the stdlib mux4 design.
+        """The emitted source for the stdlib mux4 design.
         On an intended emitter change, regenerate with
         ``CompiledStep.source`` and update the golden file."""
         step = self._mux4_step()
@@ -281,22 +265,12 @@ class TestGeneratedSource:
         assert "for op in" not in src  # no interpreter dispatch loop
         assert "vals0[:] = [" in src and "vals1[:] = [" in src
         assert isinstance(step, CompiledStep)
-        assert step.backend == "int"
         assert step.n_ops > 0
         # poke_ok covers exactly the compiled input-default classes
         assert step.poke_ok and all(isinstance(i, int) for i in step.poke_ok)
 
-    @needs_numpy
-    def test_numpy_variant_compiles_same_schedule(self):
-        circuit = repro.compile_text(programs.ALL_PROGRAMS["mux4"], name="mux4")
-        sched = circuit.simulator(engine="batched", lanes=8)._schedule
-        step = compile_step(sched, backend="numpy", lanes=130)
-        assert step.backend == "numpy"
-        assert step.words == words_for(130) == 3
-        assert "I2W(" in step.source or "Z" in step.source
 
-
-# -- exotic pokes: fallback and demotion ----------------------------------
+# -- exotic pokes: per-pass interpreter fallback --------------------------
 
 
 class TestExoticPokes:
@@ -314,8 +288,7 @@ class TestExoticPokes:
             s.poke_lanes("a", [Logic.ONE] * 4)
             s.poke("u.p", 1)  # internal multiplex net: exotic
             s.step()
-        assert sim._cg is not None  # int backend never demotes
-        assert not sim._cg_pokes_ok  # ... but this pass interpreted
+        assert not sim._cg_pokes_ok  # this pass interpreted
         assert sim.peek_lanes("y") == ref.peek_lanes("y")
         for s in (sim, ref):
             s.unpoke("u.p")
@@ -338,26 +311,8 @@ class TestExoticPokes:
         ref.step()
         assert got == [v[0] for v in ref.peek_lanes("y")]
 
-    @needs_numpy
-    def test_numpy_backend_demotes_and_reset_restores(self):
-        circuit = compile_ok(self.GUARDED)
-        sim = _codegen_sim(circuit, 4, backend="numpy")
-        reason0 = sim.engine_reason
-        sim.poke("u.p", 1)
-        sim.step()
-        assert sim._cg is None  # permanently demoted ...
-        assert "demoted" in sim.engine_reason
-        assert [v[0] for v in sim.peek_lanes("y")] == [Logic.UNDEF] * 4
-        sim.reset_state()
-        assert sim._cg is sim._cg_compiled  # ... until reset_state
-        assert sim.engine_reason == reason0
-        sim.poke_lanes("a", [Logic.ONE] * 4)
-        sim.poke_lanes("g", [Logic.ONE] * 4)
-        sim.step()
-        assert [v[0] for v in sim.peek_lanes("y")] == [Logic.ONE] * 4
 
-
-# -- registers, RNG contract, reset across backends -----------------------
+# -- registers and reset --------------------------------------------------
 
 
 class TestStateful:
@@ -371,11 +326,10 @@ class TestStateful:
     SIGNAL u: t;
     """
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_register_stream_matches_batched(self, backend):
+    def test_register_stream_matches_batched(self):
         circuit = compile_ok(self.REGGED)
         sims = {
-            "codegen": _codegen_sim(circuit, 3, backend),
+            "codegen": _codegen_sim(circuit, 3),
             "batched": circuit.simulator(engine="batched", lanes=3),
         }
         rows = {name: [] for name in sims}
@@ -401,10 +355,9 @@ class TestStateful:
                 )
         assert rows["codegen"] == rows["batched"]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_reset_state_restarts_the_run(self, backend):
+    def test_reset_state_restarts_the_run(self):
         circuit = compile_ok(self.REGGED)
-        sim = _codegen_sim(circuit, 2, backend)
+        sim = _codegen_sim(circuit, 2)
 
         def run():
             sim.poke_lanes("a", [1, 0])
@@ -423,6 +376,52 @@ class TestStateful:
         assert run() == first
 
 
+# -- lane counts past 65536 ------------------------------------------------
+
+
+class TestWideLanes:
+    LANES = 65600  # above 65536 and not a multiple of 64
+
+    def test_section8_lanes_match_dataflow(self):
+        """section8 (a register, a two-driver multiplex output) on the
+        compiled kernel at 65600 lanes: broadcast pokes, three lanes
+        with their own values -- one of them a driver conflict above
+        lane 65536 -- each equal to a dataflow run with its pokes."""
+        circuit = repro.compile_text(programs.ALL_PROGRAMS["section8"],
+                                     name="section8")
+        sim = _codegen_sim(circuit, self.LANES, strict=False)
+        broadcast = {"a": 1, "b": 0, "c": 1, "x": 1, "y": 0, "rin": 1}
+        own = {
+            0: {"x": 0, "y": 1, "rin": 0},
+            65535: {"a": 1, "b": 1},
+            65599: {"y": 1},  # x = y = 1: both drivers fire
+        }
+        for path, value in broadcast.items():
+            sim.poke(path, value)
+        for lane, pokes in own.items():
+            for path, value in pokes.items():
+                sim.poke_lane(path, lane, value)
+        sim.step(2)
+        assert sim._cg_pokes_ok  # every pass ran the compiled function
+        assert {v.lane for v in sim.violations} == {65599}
+        for lane in (0, 1, 65535, 65536, 65599):
+            ref = circuit.simulator(engine="dataflow", strict=False)
+            for path, value in {**broadcast, **own.get(lane, {})}.items():
+                ref.poke(path, value)
+            ref.step(2)
+            for path in ("out", "rout"):
+                assert sim.peek_lane(path, lane) == ref.peek(path), (
+                    lane, path)
+            assert sim.registers(lane=lane) == ref.registers(), lane
+            # Engines may list a conflict's two values in either order.
+            assert [
+                (v.cycle, v.net, sorted(v.values))
+                for v in sim.violations if v.lane == lane
+            ] == [
+                (v.cycle, v.net, sorted(v.values)) for v in ref.violations
+            ], lane
+
+
 # -- four-engine differential fuzz slice ----------------------------------
 
 
@@ -435,32 +434,6 @@ class TestFourEngineDifferential:
         prog = generate_program(seed)
         result = differential_check(prog.text, seed=seed)
         assert result, f"seed {seed}: {result.detail}\n{prog.text}"
-
-
-# -- numpy-absent degradation ---------------------------------------------
-
-
-class TestNumpyAbsent:
-    def test_auto_stays_int_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(codegen, "HAVE_NUMPY", False)
-        assert choose_backend(NUMPY_LANE_THRESHOLD * 4) == "int"
-
-    def test_explicit_numpy_request_degrades_gracefully(self, monkeypatch):
-        monkeypatch.setattr(codegen, "HAVE_NUMPY", False)
-        circuit = _gate_circuit("AND", 2)
-        with pytest.raises(CodegenError, match="numpy"):
-            compile_step(circuit.simulator(engine="batched", lanes=4)
-                         ._schedule, backend="numpy", lanes=4)
-        # the Simulator swallows the CodegenError into a reasoned
-        # fallback to the interpreted batched path
-        sim = circuit.simulator(engine="codegen", lanes=4, backend="numpy")
-        assert sim._cg is None
-        assert "fallback" in sim.engine_reason
-        sim.poke_lanes("i0", [1, 1, 0, 0])
-        sim.poke_lanes("i1", [1, 0, 1, 0])
-        sim.step()
-        got = [v[0] for v in sim.peek_lanes("y")]
-        assert got == [Logic.ONE, Logic.ZERO, Logic.ZERO, Logic.ZERO]
 
 
 # -- flight recorder regressions (reset + rebind) -------------------------

@@ -244,8 +244,6 @@ class TestEngineKnob:
         assert cg.engine == "codegen"
         assert cg.lanes == 4
         assert cg._cg is not None, cg.engine_reason
-        assert cg.codegen_backend in ("int", "numpy")
-        assert batched.codegen_backend is None
 
     def test_codegen_cyclic_design_falls_back_per_lane(self):
         circuit = repro.compile_text(CYCLIC, strict=False)
@@ -387,14 +385,12 @@ def lane_stimulus(circuit):
 
 
 def run_batched_lanes(circuit, stim, *, cycles=10, seed=BATCH_SEED,
-                      strict=True, lanes=LANES, engine="batched",
-                      backend="auto"):
+                      strict=True, lanes=LANES, engine="batched"):
     """One batched-or-codegen run; returns per-lane (rows, violations,
     error) in the same shape :func:`run_trace` produces for a scalar
     run."""
     sim = circuit.simulator(
         seed=seed, strict=strict, engine=engine, lanes=lanes,
-        backend=backend,
     )
     paths = scalar_paths(circuit)
     inputs = [p.name for p in circuit.netlist.ports if p.mode == "IN"]

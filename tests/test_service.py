@@ -10,6 +10,7 @@ run with the session's seed, no matter how other sessions interleave
 or detach around it.
 """
 
+import asyncio
 import json
 import threading
 import time
@@ -32,6 +33,7 @@ from repro.service import (
     cache_key,
     serve_in_thread,
 )
+from repro.service.server import ZeusDaemon, _MuxState
 from repro.stdlib.programs import ALL_PROGRAMS
 
 HALF = """
@@ -55,6 +57,20 @@ SIGNAL u: t;
 """
 
 BLACKJACK = ALL_PROGRAMS["blackjack"]
+
+# A shift register of RANDOM bits: its state after n cycles depends on
+# the seed and on n exactly.
+RANDOM_SHIFT = """
+TYPE t = COMPONENT (OUT y: boolean) IS
+SIGNAL r0, r1, r2: REG;
+BEGIN
+    r0.in := RANDOM();
+    r1.in := r0.out;
+    r2.in := r1.out;
+    y := r2.out
+END;
+SIGNAL u: t;
+"""
 
 
 def run_cli(argv, capsys):
@@ -422,6 +438,39 @@ class TestLaneMux:
             s.poke("a", 1)
         with pytest.raises(SessionError):
             mux.step_many({s: 1})
+
+
+# -- the daemon's coalescing stepper -------------------------------------
+
+
+class TestCoalescingStepper:
+    def test_concurrent_steps_advance_exactly(self):
+        """Two 10-cycle steps on one mux, gathered: the second joins
+        while the first one's pass runs in a worker thread.  Each
+        session must advance exactly 10 cycles, equal to a dataflow run
+        with its seed."""
+        circuit = repro.compile_text(RANDOM_SHIFT)
+        daemon = ZeusDaemon(workers=1)
+        state = _MuxState(LaneMux(circuit, lanes=4))
+        seeds = (5, 9)
+        sessions = [state.mux.attach(seed) for seed in seeds]
+
+        async def step_both():
+            await asyncio.gather(*(
+                daemon._step_session(state, session, 10)
+                for session in sessions
+            ))
+
+        asyncio.run(step_both())
+        assert state.want == {}
+        for session, seed in zip(sessions, seeds):
+            ref = Simulator(
+                circuit.design, strict=False, seed=seed, engine="dataflow"
+            )
+            ref.step(10)
+            assert session.cycle == 10
+            assert session.peek("u.y") == ref.peek("u.y")
+            assert session.registers() == ref.registers()
 
 
 # -- the process-pool shard layer ----------------------------------------
