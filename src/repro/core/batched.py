@@ -81,22 +81,60 @@ LOGIC_PLANES = {
 }
 
 
+# Lane I/O goes through *lane columns*: strings with one character per
+# lane, highest lane first -- the digit order of ``int(_, 2)`` and
+# ``format(_, "b")`` -- so ``str.translate`` plus one C-level base
+# conversion turns a column into a plane in time linear in the lane
+# count.  (Setting bit k with ``p |= 1 << k`` copies a lanes-wide int
+# per lane: quadratic.)  "N" marks a lane that is not poked at all.
+
+#: The lane-column character of each value.
+_LOGIC_CHAR = {
+    Logic.ZERO: "0",
+    Logic.ONE: "1",
+    Logic.UNDEF: "X",
+    Logic.NOINFL: "Z",
+}
+_TO_PLANE0 = str.maketrans("01XZN", "10100")
+_TO_PLANE1 = str.maketrans("01XZN", "01100")
+_TO_POKED = str.maketrans("01XZN", "11110")
+#: Decode the hex digit ``b0 + 2*b1`` that :func:`unpack` gives a lane.
+_DIGIT_LOGIC = dict(zip("0123", PLANE_LOGIC))
+
+
+def _column_planes(column: str) -> tuple[int, int]:
+    """The two bitplanes of a non-empty lane column ("N" reads 0 in both)."""
+    return (
+        int(column.translate(_TO_PLANE0), 2),
+        int(column.translate(_TO_PLANE1), 2),
+    )
+
+
+def _column_poked(column: str) -> int:
+    """The lane mask of a non-empty lane column's non-"N" lanes."""
+    return int(column.translate(_TO_POKED), 2)
+
+
 def pack(values: Sequence[Logic]) -> tuple[int, int]:
     """Pack per-lane Logic values into the two bitplanes (lane k = bit k)."""
-    p0 = p1 = 0
-    for k, v in enumerate(values):
-        b0, b1 = LOGIC_PLANES[v]
-        p0 |= b0 << k
-        p1 |= b1 << k
-    return p0, p1
+    column = "".join(map(_LOGIC_CHAR.__getitem__, values))[::-1]
+    return _column_planes(column) if column else (0, 0)
 
 
 def unpack(p0: int, p1: int, lanes: int) -> list[Logic]:
-    """Unpack two bitplanes into *lanes* per-lane Logic values."""
-    return [
-        PLANE_LOGIC[((p0 >> k) & 1) | (((p1 >> k) & 1) << 1)]
-        for k in range(lanes)
-    ]
+    """Unpack two bitplanes into *lanes* per-lane Logic values (plane
+    bits at or above *lanes* are ignored)."""
+    if lanes < 1:
+        return []
+    mask = (1 << lanes) - 1
+    binary = f"0{lanes}b"
+    # Read each plane's binary numeral as hex: every lane gets a nibble
+    # of its own, so the sum below holds the digit b0 + 2*b1 per lane.
+    spread = int(format(p0 & mask, binary), 16) + (
+        int(format(p1 & mask, binary), 16) << 1
+    )
+    digits = format(spread, f"0{lanes}x")
+    return list(map(_DIGIT_LOGIC.__getitem__, digits[::-1]))
 
 
 def broadcast(value: Logic, mask: int) -> tuple[int, int]:

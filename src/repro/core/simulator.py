@@ -33,7 +33,15 @@ from typing import Iterable, Sequence, Union
 
 from ..lang.errors import SimulationError
 from ..obs.metrics import SimMetrics
-from .batched import LOGIC_PLANES, PLANE_LOGIC, lane_value, unpack
+from .batched import (
+    _LOGIC_CHAR,
+    LOGIC_PLANES,
+    PLANE_LOGIC,
+    _column_planes,
+    _column_poked,
+    lane_value,
+    unpack,
+)
 from .batched import execute as _execute_batched
 from .elaborate import Design
 from .netlist import Gate, Net
@@ -450,11 +458,7 @@ class Simulator:
         *values* has one entry per lane: anything :meth:`poke` accepts,
         or ``None`` for "no poke on this lane" (the lane keeps its input
         default).  Replaces any previous poke of *path*."""
-        if self.lanes is None:
-            raise SimulationError(
-                "poke_lanes needs engine='batched' "
-                f"(this simulator runs {self.engine!r})"
-            )
+        self._require_lanes("poke_lanes needs")
         lane_values = list(values)
         if len(lane_values) != self.lanes:
             raise ValueError(
@@ -463,63 +467,58 @@ class Simulator:
             )
         nets = self.nets_of(path)
         width = len(nets)
-        acc0 = [0] * width
-        acc1 = [0] * width
-        mask = 0
+        # One width-character chunk per lane, most significant bit
+        # first.  With the lanes joined highest first, bit j of every
+        # lane is the lane column text[width-1-j::width].
+        binary = f"0{width}b"
+        limit = 1 << width
+        unpoked = "N" * width
+        chunks = []
         for k, v in enumerate(lane_values):
-            if v is None:
-                continue
-            bit = 1 << k
-            mask |= bit
-            try:
-                bits = _coerce_bits(v, width, path)
-            except (TypeError, ValueError) as exc:
-                msg = str(exc)
-                prefix = f"poke {path!r}: "
-                if msg.startswith(prefix):
-                    msg = msg[len(prefix):]
-                raise type(exc)(
-                    f"poke {path!r} lane {k}: {msg}"
-                ) from None
-            for j, b in enumerate(bits):
-                b0, b1 = LOGIC_PLANES[b]
-                if b0:
-                    acc0[j] |= bit
-                if b1:
-                    acc1[j] |= bit
+            if type(v) is int and 0 <= v < limit:  # not bool, not Logic
+                chunks.append(format(v, binary))
+            elif v is None:
+                chunks.append(unpoked)
+            else:
+                bits = _coerce_lane(v, width, path, k)
+                chunks.append("".join([_LOGIC_CHAR[b] for b in bits[::-1]]))
         self._cg_dirty = True
+        if not width:  # a zero-width signal has no bit columns
+            return
+        text = "".join(reversed(chunks))
+        mask = _column_poked(text[width - 1::width])
         if not mask:
             for net in nets:
                 self._bpokes.pop(self._idx(net), None)
             return
         for j, net in enumerate(nets):
-            self._bpokes[self._idx(net)] = (acc0[j], acc1[j], mask)
+            p0, p1 = _column_planes(text[width - 1 - j::width])
+            self._bpokes[self._idx(net)] = (p0, p1, mask)
 
     def peek_lanes(self, path: str) -> list[list[Logic]]:
         """Read a signal on every lane (batched engine only): one list
         of per-bit Logic values per lane (boolean signals convert NOINFL
         to UNDEF, as :meth:`peek` does)."""
-        if self.lanes is None:
-            raise SimulationError(
-                "peek_lanes needs engine='batched' "
-                f"(this simulator runs {self.engine!r})"
-            )
+        self._require_lanes("peek_lanes needs")
+        M = self._lane_mask
         per_net: list[list[Logic]] = []
         for net in self.nets_of(path):
             i = self._idx(net)
-            vals = unpack(self._bvals0[i], self._bvals1[i], self.lanes)
+            p0 = self._bvals0[i]
+            p1 = self._bvals1[i]
             if net.kind == BOOLEAN:
-                vals = [v.to_boolean() for v in vals]
-            per_net.append(vals)
-        return [[vals[k] for vals in per_net] for k in range(self.lanes)]
+                # The amplifier on every lane at once: floating is UNDEF.
+                floating = M & ~(p0 | p1)
+                p0 |= floating
+                p1 |= floating
+            per_net.append(unpack(p0, p1, self.lanes))
+        if not per_net:
+            return [[] for _ in range(self.lanes)]
+        return list(map(list, zip(*per_net)))
 
     def peek_lane(self, path: str, lane: int) -> list[Logic]:
         """One lane's per-bit values (batched engine only)."""
-        if self.lanes is None:
-            raise SimulationError(
-                "peek_lane needs engine='batched' "
-                f"(this simulator runs {self.engine!r})"
-            )
+        self._require_lanes("peek_lane needs")
         if not 0 <= lane < self.lanes:
             raise ValueError(f"lane {lane} out of range 0..{self.lanes - 1}")
         out: list[Logic] = []
@@ -552,12 +551,17 @@ class Simulator:
     # regardless of how other lanes interleave (the batched engine's
     # lane-isolation contract, per lane-mask).
 
-    def _lane_bit(self, lane: int) -> int:
+    def _require_lanes(self, who: str) -> None:
+        """Raise unless a lane engine runs; *who* is the subject and
+        verb of the message ("poke_lanes needs")."""
         if self.lanes is None:
             raise SimulationError(
-                "lane sessions need engine='batched' or 'codegen' "
+                f"{who} engine='batched' or 'codegen' "
                 f"(this simulator runs {self.engine!r})"
             )
+
+    def _lane_bit(self, lane: int) -> int:
+        self._require_lanes("lane sessions need")
         if not 0 <= lane < self.lanes:
             raise ValueError(f"lane {lane} out of range 0..{self.lanes - 1}")
         return 1 << lane
@@ -595,14 +599,7 @@ class Simulator:
         poke of *path* (or its input default) in place."""
         bit = self._lane_bit(lane)
         nets = self.nets_of(path)
-        try:
-            bits = _coerce_bits(value, len(nets), path)
-        except (TypeError, ValueError) as exc:
-            msg = str(exc)
-            prefix = f"poke {path!r}: "
-            if msg.startswith(prefix):
-                msg = msg[len(prefix):]
-            raise type(exc)(f"poke {path!r} lane {lane}: {msg}") from None
+        bits = _coerce_lane(value, len(nets), path, lane)
         for net, b in zip(nets, bits):
             i = self._idx(net)
             b0, b1 = LOGIC_PLANES[b]
@@ -655,11 +652,7 @@ class Simulator:
             amask = 0
             for k in active:
                 amask |= self._lane_bit(k)
-        if self.lanes is None:
-            raise SimulationError(
-                "step_lanes needs engine='batched' or 'codegen' "
-                f"(this simulator runs {self.engine!r})"
-            )
+        self._require_lanes("step_lanes needs")
         M = self._lane_mask
         if amask & ~M:
             raise ValueError(
@@ -1313,7 +1306,7 @@ class Simulator:
             }
         if lane not in (None, 0):
             raise ValueError(
-                f"register lanes need engine='batched' "
+                "register lanes need engine='batched' or 'codegen' "
                 f"(this simulator runs {self.engine!r})"
             )
         return {
@@ -1370,6 +1363,21 @@ def _coerce_bits(value: PokeValue, width: int, path: str) -> list[Logic]:
             f"poke {path!r}: got {len(bits)} bits for a {width}-bit signal"
         )
     return bits
+
+
+def _coerce_lane(
+    value: PokeValue, width: int, path: str, lane: int
+) -> list[Logic]:
+    """:func:`_coerce_bits` for one lane of a lane poke: a bad value's
+    error names the lane."""
+    try:
+        return _coerce_bits(value, width, path)
+    except (TypeError, ValueError) as exc:
+        msg = str(exc)
+        prefix = f"poke {path!r}: "
+        if msg.startswith(prefix):
+            msg = msg[len(prefix):]
+        raise type(exc)(f"poke {path!r} lane {lane}: {msg}") from None
 
 
 def _coerce_one(v: Logic | int | str) -> Logic:

@@ -27,6 +27,8 @@ from repro.core.batched import (
     pack,
     unpack,
 )
+from repro.core.simulator import _coerce_bits
+from repro.core.types import BOOLEAN
 from repro.core.values import GATE_FUNCTIONS, Logic
 from repro.lang import SimulationError
 from repro.obs import metrics_report, validate_report
@@ -37,11 +39,71 @@ ALL_LOGIC = [Logic.ZERO, Logic.ONE, Logic.UNDEF, Logic.NOINFL]
 
 logic_values = st.sampled_from(ALL_LOGIC)
 
+#: Lane counts on both sides of CPython's 30-bit int digits and of 64-bit
+#: words, a few thousand lanes, and anything small.
+lane_counts = st.one_of(
+    st.sampled_from([1, 29, 30, 31, 63, 64, 65, 2047, 4099]),
+    st.integers(min_value=1, max_value=200),
+)
+
 
 def run_cli(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# -- the per-lane loops the lane I/O used before lane columns ---------------
+#
+# Each sets or reads one lane at a time with shifts of a lanes-wide int
+# (quadratic in the lane count); kept as the reference the linear-time
+# conversions must match.
+
+
+def reference_pack(values):
+    p0 = p1 = 0
+    for k, v in enumerate(values):
+        b0, b1 = LOGIC_PLANES[v]
+        p0 |= b0 << k
+        p1 |= b1 << k
+    return p0, p1
+
+
+def reference_unpack(p0, p1, lanes):
+    return [
+        PLANE_LOGIC[((p0 >> k) & 1) | (((p1 >> k) & 1) << 1)]
+        for k in range(lanes)
+    ]
+
+
+def reference_poke_lanes(values, width, path):
+    """``poke_lanes``' planes: ``(plane0 per bit, plane1 per bit, mask)``."""
+    acc0 = [0] * width
+    acc1 = [0] * width
+    mask = 0
+    for k, v in enumerate(values):
+        if v is None:
+            continue
+        bit = 1 << k
+        mask |= bit
+        for j, b in enumerate(_coerce_bits(v, width, path)):
+            b0, b1 = LOGIC_PLANES[b]
+            if b0:
+                acc0[j] |= bit
+            if b1:
+                acc1[j] |= bit
+    return acc0, acc1, mask
+
+
+def reference_peek_lanes(sim, path):
+    per_net = []
+    for net in sim.nets_of(path):
+        i = sim._idx(net)
+        vals = reference_unpack(sim._bvals0[i], sim._bvals1[i], sim.lanes)
+        if net.kind == BOOLEAN:
+            vals = [v.to_boolean() for v in vals]
+        per_net.append(vals)
+    return [[vals[k] for vals in per_net] for k in range(sim.lanes)]
 
 
 # -- plane encoding primitives -------------------------------------------
@@ -57,11 +119,24 @@ class TestPlaneEncoding:
         for value, (b0, b1) in LOGIC_PLANES.items():
             assert PLANE_LOGIC[b0 | (b1 << 1)] is value
 
-    @given(st.lists(logic_values, min_size=1, max_size=200))
+    @given(lane_counts, st.randoms(use_true_random=False))
     @settings(max_examples=200, deadline=None)
-    def test_pack_unpack_roundtrip(self, values):
+    def test_pack_unpack_roundtrip(self, lanes, rnd):
+        values = [rnd.choice(ALL_LOGIC) for _ in range(lanes)]
         p0, p1 = pack(values)
-        assert unpack(p0, p1, len(values)) == values
+        assert (p0, p1) == reference_pack(values)
+        assert unpack(p0, p1, lanes) == values
+        assert reference_unpack(p0, p1, lanes) == values
+
+    def test_unpack_ignores_plane_bits_at_or_above_lanes(self):
+        values = [Logic.ONE, Logic.NOINFL, Logic.ZERO, Logic.UNDEF]
+        p0, p1 = pack(values)
+        for lanes in (1, 3, 4):
+            above = 0b1011 << lanes
+            assert unpack(p0 | above, p1 | above << 31, lanes) == (
+                values[:lanes]
+            )
+        assert unpack(p0, p1, 0) == []
 
     @given(st.lists(logic_values, min_size=1, max_size=100))
     @settings(max_examples=100, deadline=None)
@@ -80,6 +155,90 @@ class TestPlaneEncoding:
     def test_pack_is_lsb_lane_zero(self):
         p0, p1 = pack([Logic.ONE, Logic.ZERO])
         assert (p0, p1) == (0b10, 0b01)
+
+
+# -- poke_lanes / peek_lanes against the per-lane loops -------------------
+
+
+_LANE_IO_CACHE = {}
+
+
+def _lane_io_circuit(width):
+    """A *width*-bit boolean input ``a`` and multiplex INOUT pin ``z``,
+    compiled once per width (hypothesis tests cannot use fixtures)."""
+    if width not in _LANE_IO_CACHE:
+        _LANE_IO_CACHE[width] = compile_ok(
+            f"""
+            TYPE bo = ARRAY [1..{width}] OF boolean;
+                 mx = ARRAY [1..{width}] OF multiplex;
+                 t = COMPONENT (IN a: bo; OUT y: bo; z: mx) IS
+                 BEGIN y := a END;
+            SIGNAL u: t;
+            """
+        )
+    return _LANE_IO_CACHE[width]
+
+
+#: Everything a single bit of a poke may be.
+BIT_VALUES = [0, 1, False, True, *ALL_LOGIC, "0", "1", "UNDEF", "NOINFL"]
+
+
+def _random_lane_value(rnd, width, none_share):
+    """One lane of a poke: None, an int, a bool, a bit list, or (on a
+    one-bit signal) any single bit value."""
+    if rnd.random() < none_share:
+        return None
+    kind = rnd.randrange(4)
+    if kind == 0:
+        return rnd.getrandbits(width)
+    if kind == 1:
+        return rnd.choice([False, True])
+    if kind == 2:
+        return [rnd.choice(BIT_VALUES) for _ in range(width)]
+    return rnd.choice(BIT_VALUES) if width == 1 else rnd.getrandbits(width)
+
+
+class TestLaneIO:
+    @given(
+        lane_counts,
+        st.sampled_from([1, 3, 16]),
+        st.sampled_from([0.0, 0.25, 1.0]),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_poke_and_peek_lanes_match_per_lane_loops(
+        self, lanes, width, none_share, rnd
+    ):
+        sim = _lane_io_circuit(width).simulator(engine="batched", lanes=lanes)
+        pokes = {}
+        for path in ("u.a", "u.z"):
+            # A previous poke, which an all-None poke must release.
+            sim.poke_lanes(path, [0] * lanes)
+            values = [
+                _random_lane_value(rnd, width, none_share)
+                for _ in range(lanes)
+            ]
+            sim.poke_lanes(path, values)
+            acc0, acc1, mask = reference_poke_lanes(values, width, path)
+            for j, net in enumerate(sim.nets_of(path)):
+                expected = (acc0[j], acc1[j], mask) if mask else None
+                assert sim._bpokes.get(sim._idx(net)) == expected
+            pokes[path] = values
+        sim.step()
+        got = {path: sim.peek_lanes(path) for path in pokes}
+        for path, rows in got.items():
+            assert type(rows) is list
+            assert all(type(row) is list for row in rows)
+            assert rows == reference_peek_lanes(sim, path)
+        # A lane bit poked NOINFL: UNDEF on the boolean input (the
+        # amplifier), NOINFL on the multiplex pin.
+        for path, floating in (("u.a", Logic.UNDEF), ("u.z", Logic.NOINFL)):
+            for k, v in enumerate(pokes[path]):
+                if v is None:
+                    continue
+                for j, b in enumerate(_coerce_bits(v, width, path)):
+                    if b is Logic.NOINFL:
+                        assert got[path][k][j] is floating
 
 
 # -- every batched opcode vs the scalar gate table ------------------------
@@ -286,6 +445,24 @@ class TestBatchStimulus:
             sim.poke_lanes("u.a", [1, 2, [0, 1]])  # wrong bit-list width
         with pytest.raises(TypeError, match=r"poke 'u\.a' lane 0"):
             sim.poke_lanes("u.a", [object(), 1, 2])
+        wide = circuit.simulator(engine="batched", lanes=4101)
+        for lane, bad, error in (
+            (4096, 16, ValueError),  # needs 5 bits
+            (4097, -1, ValueError),
+            (4098, [0, 1, 0], ValueError),
+            (4099, object(), TypeError),
+            (4100, Logic.UNDEF, ValueError),  # one bit, not the int 2
+        ):
+            values = [3] * 4101
+            values[lane] = bad
+            with pytest.raises(error, match=rf"poke 'u\.a' lane {lane}: "):
+                wide.poke_lanes("u.a", values)
+        wide.poke_lanes("u.a", [True, False] + [3] * 4099)
+        wide.step()
+        one, zero = Logic.ONE, Logic.ZERO
+        assert wide.peek_lanes("u.y")[:3] == [
+            [one, zero, zero, zero], [zero] * 4, [one, one, zero, zero]
+        ]
 
 
 # -- reset_state must clear lane state (the PR's bugfix) ------------------

@@ -12,6 +12,7 @@ or detach around it.
 
 import asyncio
 import json
+import re
 import threading
 import time
 
@@ -317,6 +318,17 @@ class TestStepLanesContract:
             sim.reset_lane(0)
         with pytest.raises(repro.SimulationError):
             sim.step_lanes([0], 1)
+        needs = "needs engine='batched' or 'codegen' (this simulator runs"
+        for call in (
+            lambda: sim.poke_lanes("a", [1]),
+            lambda: sim.peek_lanes("a"),
+            lambda: sim.peek_lane("a", 0),
+        ):
+            with pytest.raises(repro.SimulationError, match=re.escape(needs)):
+                call()
+        needs = "register lanes need engine='batched' or 'codegen'"
+        with pytest.raises(ValueError, match=re.escape(needs)):
+            sim.registers(lane=1)
 
     def test_bad_lane_rejected(self):
         circuit = repro.compile_text(HALF)
