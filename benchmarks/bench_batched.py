@@ -1,7 +1,8 @@
 """Batched bit-parallel engine benchmark: lane throughput vs levelized.
 
-Measures steady-state lane-cycles/sec of the batched engine on a
-64-lane random-stimulus sweep of the 16-bit ripple-carry adder against
+Measures steady-state lane-cycles/sec of ``engine="batched"`` -- an
+alias of the compiled lane engine, so this times the codegen kernel --
+on a 64-lane random-stimulus sweep of the 16-bit ripple-carry adder against
 the levelized scalar engine running the same 64 stimuli one lane at a
 time, plus a lane-scaling curve (16/64/256/1024 lanes).  Results are
 merged into the repo-root ``BENCH_simulator.json`` under a ``batched``

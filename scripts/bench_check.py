@@ -60,7 +60,7 @@ def committed_metrics(summary: dict) -> dict[str, float]:
     if codegen:
         for key, rate in codegen.get("lane_cycles_per_s", {}).items():
             out[f"codegen.lane_cycles_per_s.{key}"] = rate
-        out["codegen.speedup_vs_batched"] = codegen["speedup_vs_batched"]
+        out["codegen.speedup_vs_levelized"] = codegen["speedup_vs_levelized"]
     flight = summary.get("flight")
     if flight:
         for engine in bench_flight.ENGINES:

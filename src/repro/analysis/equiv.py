@@ -12,16 +12,17 @@ Both compare every OUT pin, treating UNDEF/NOINFL as ordinary values
 (the circuits must agree on X-propagation too).  Sequential circuits are
 compared over a bounded number of cycles per vector.
 
-By default both functions drive the batched bit-parallel engine
-(:mod:`repro.core.batched`): vectors are packed into lanes, up to
-:data:`BATCH_LANES` at a time, and every lane of a chunk evaluates in
-one schedule pass.  Each lane is an *independent* run (registers start
-UNDEF per vector); the scalar engines -- selected with
-``engine="levelized"``/``"dataflow"``/``"auto"`` -- instead reuse one
-simulator pair, so register state carries across vectors.  For the
-combinational circuits equivalence checking is meant for, the two modes
-agree; for sequential pairs the batched per-vector-fresh-state semantics
-is the better-defined comparison.
+By default (``engine="batched"``) both functions drive the compiled
+lane engine (:mod:`repro.core.codegen`): vectors are packed into lanes,
+up to :data:`BATCH_LANES` at a time, and every lane of a chunk
+evaluates in one call of the compiled kernel.  Each lane is an
+*independent* run (registers start UNDEF per vector); the scalar
+engines -- selected with ``engine="levelized"``/``"dataflow"``/
+``"auto"`` -- instead reuse one simulator pair, so register state
+carries across vectors.  For the combinational circuits equivalence
+checking is meant for, the two modes agree; for sequential pairs the
+lane engine's per-vector-fresh-state semantics is the better-defined
+comparison.
 """
 
 from __future__ import annotations

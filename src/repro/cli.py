@@ -153,7 +153,8 @@ def _add_engine(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--engine", choices=ENGINES, default="auto",
         help="simulation engine: levelized fast path, dataflow firing, "
-             "or auto (levelized when the design can be scheduled)",
+             "auto (levelized when the design can be scheduled), or the "
+             "compiled lane engine codegen (alias batched)",
     )
 
 
@@ -260,8 +261,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument(
         "--lanes", type=int, default=None, metavar="N",
-        help="lane count for --engine batched (default: from --batch, "
-             "else 64)",
+        help="lane count for --engine codegen/batched (default: from "
+             "--batch, else 64)",
     )
     _add_engine(p)
     _add_flight(p)
@@ -641,10 +642,9 @@ def _sim_batched(args: argparse.Namespace, circuit: Circuit, registry) -> int:
             file=sys.stderr,
         )
         return 2
-    engine = "codegen" if args.engine == "codegen" else "batched"
     sim = circuit.simulator(
         seed=args.seed, strict=not args.lenient, metrics=bool(args.metrics),
-        engine=engine, lanes=lanes, flight=_flight_capacity(args),
+        engine="codegen", lanes=lanes, flight=_flight_capacity(args),
     )
     if stim is not None:
         stim.apply(sim)

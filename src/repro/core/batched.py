@@ -1,14 +1,14 @@
-"""The batched bit-parallel simulation engine.
+"""Lane data for bit-parallel simulation: the bitplane encoding, lane
+I/O and :class:`BatchStimulus`.
 
-The levelized engine of :mod:`repro.core.schedule` evaluates one
-stimulus per pass.  Everything downstream that sweeps many independent
-vectors -- ``exhaustive_equivalent``, ``random_equivalent``, the fuzz
-suite, formal counterexample replay, mass regression traffic -- pays
-the full schedule cost once per vector.  This module removes that
-multiplier with the classic bit-parallel move (Barzilai et al.'s HSS,
-and every compiled-code fault simulator since): pack N independent
-stimulus *lanes* into machine words and evaluate all of them in one
-pass over the same static schedule.
+The lane engine (``engine="codegen"``, alias ``"batched"``) packs N
+independent stimulus *lanes* into machine words and evaluates all of
+them in one pass of a compiled kernel (:mod:`repro.core.codegen`) --
+the classic bit-parallel move of Barzilai et al.'s HSS and every
+compiled-code fault simulator since.  Everything that sweeps many
+independent vectors (``exhaustive_equivalent``, ``random_equivalent``,
+the fuzz suite, formal counterexample replay, zeusd session muxes)
+rides on it.  This module holds the data side of that engine.
 
 Bitplane encoding
 -----------------
@@ -30,43 +30,35 @@ value       plane 0  plane 1
 Under this encoding every scalar opcode of the levelized
 :class:`~repro.core.schedule.Schedule` becomes a handful of plane-wise
 bitwise expressions over *all lanes at once*; Python ints are unbounded
-so the lane count is limited only by memory.  The implicit
-multiplex-to-boolean amplifier (NOINFL reads as UNDEF at gate inputs)
-falls out for free: gate rules test for the *exact* encodings
-``(1,0)``/``(0,1)``, so NOINFL ``(0,0)`` behaves like UNDEF without an
-explicit conversion.
+so the lane count is limited only by memory.  A poke is a triple
+``(plane0, plane1, lane_mask)``: lanes outside the mask keep their
+input default.
+
+Lane I/O
+--------
+
+:func:`pack`/:func:`unpack` (and ``Simulator.poke_lanes``/
+``peek_lanes``) move values between per-lane lists and planes through
+*lane columns*, one character per lane, in time linear in the lane
+count; :func:`lane_value` reads a single lane.
 
 Equivalence contract
 --------------------
 
-Lane ``k`` of a batched run with seed ``s`` is observationally
-identical to a scalar (levelized or dataflow) run driven with lane
-``k``'s stimulus and seed ``s + k``: same peeks, the same per-lane
-register state, the same per-lane multiplex-conflict violations, and
-the same RANDOM-gate stream (each lane owns a ``random.Random(s + k)``
-consumed in gate-index order per cycle, exactly the scalar engines'
-consumption order for that seed).  ``tests/test_engines.py`` checks the
-contract metamorphically over the stdlib programs and the fuzz corpus.
+Lane ``k`` of a lane run with seed ``s`` is observationally identical
+to a scalar (levelized or dataflow) run driven with lane ``k``'s
+stimulus and seed ``s + k``: same peeks, the same per-lane register
+state, the same per-lane multiplex-conflict violations, and the same
+RANDOM-gate stream (each lane owns a ``random.Random(s + k)`` consumed
+in gate-index order per cycle, exactly the scalar engines' consumption
+order for that seed).  ``tests/test_engines.py`` checks the contract
+metamorphically over the stdlib programs and the fuzz corpus.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .schedule import (
-    OPC_AND,
-    OPC_CLASS,
-    OPC_CONST,
-    OPC_COPY,
-    OPC_EQUAL,
-    OPC_NAND,
-    OPC_NOR,
-    OPC_NOT,
-    OPC_OR,
-    OPC_RANDOM,
-    OPC_XOR,
-    Schedule,
-)
 from .values import Logic
 
 #: Decode a lane's two plane bits -- index ``b0 | (b1 << 1)``.
@@ -254,233 +246,3 @@ class BatchStimulus:
             f"BatchStimulus(lanes={self.lanes}, "
             f"signals={sorted(self.pokes)})"
         )
-
-
-def execute(
-    sched: Schedule,
-    mask: int,
-    vals0: list[int],
-    vals1: list[int],
-    pokes: dict[int, tuple[int, int, int]],
-    reg0: list[int],
-    reg1: list[int],
-    lane_rngs: list | None,
-    conflict: Callable[[int, int, int, int, int, int], None],
-) -> None:
-    """One bit-parallel combinational pass over the static schedule.
-
-    ``mask`` is the all-lanes mask ``(1 << lanes) - 1``; ``vals0``/
-    ``vals1`` are the per-class bitplanes (overwritten here); ``pokes``
-    maps a class to ``(plane0, plane1, lane_mask)``; ``lane_rngs`` holds
-    one rng per lane, read only by RANDOM ops (None for a schedule
-    without them); ``conflict(dst, lanes, prior0, prior1, new0, new1)``
-    records per-lane multi-drive violations (raising in strict mode).
-
-    The op set and resolution rules mirror
-    :func:`repro.core.schedule.execute` exactly, lifted to planes; see
-    the module docstring for the encoding algebra.
-    """
-    M = mask
-    get_poke = pokes.get
-
-    # Source firings (cycle start).
-    for i in sched.free_nets:
-        vals0[i] = 0
-        vals1[i] = 0
-    for i, default in sched.input_defaults:
-        d0 = M  # defaults are ZERO (M, 0) or UNDEF (M, M)
-        d1 = M if default is Logic.UNDEF else 0
-        pk = get_poke(i)
-        if pk is None:
-            vals0[i] = d0
-            vals1[i] = d1
-        else:
-            p0, p1, pm = pk
-            free = M & ~pm
-            vals0[i] = (d0 & free) | p0
-            vals1[i] = (d1 & free) | p1
-    for ri, qi in sched.reg_pairs:
-        vals0[qi] = reg0[ri]
-        vals1[qi] = reg1[ri]
-    for op in sched.source_ops:
-        if op[0] == OPC_RANDOM:
-            ones = 0
-            bit = 1
-            for rng in lane_rngs:
-                if rng.random() < 0.5:
-                    ones |= bit
-                bit <<= 1
-            vals0[op[1]] = M ^ ones
-            vals1[op[1]] = ones
-        else:
-            vals0[op[1]], vals1[op[1]] = broadcast(op[2], M)
-
-    # The single bit-parallel pass.
-    for op in sched.ops:
-        code = op[0]
-        if code == OPC_COPY:
-            dst = op[1]
-            s0 = vals0[op[2]]
-            s1 = vals1[op[2]]
-            pk = get_poke(dst)
-            if pk is None:
-                vals0[dst] = s0
-                vals1[dst] = s1
-            else:
-                p0, p1, _ = pk
-                clash = (p0 | p1) & (s0 | s1)
-                if clash:
-                    conflict(dst, clash, p0, p1, s0, s1)
-                vals0[dst] = p0 | s0 | clash
-                vals1[dst] = p1 | s1 | clash
-        elif code == OPC_AND:
-            ins = op[1]
-            if len(ins) == 2:  # the overwhelmingly common case, unrolled
-                a0 = vals0[ins[0]]
-                a1 = vals1[ins[0]]
-                b0 = vals0[ins[1]]
-                b1 = vals1[ins[1]]
-                zeros = (a0 & ~a1) | (b0 & ~b1)
-                one = (a1 & ~a0) & (b1 & ~b0) & ~zeros
-            else:
-                zeros = 0
-                all_one = M
-                for i in ins:
-                    v0 = vals0[i]
-                    v1 = vals1[i]
-                    zeros |= v0 & ~v1
-                    all_one &= v1 & ~v0
-                one = all_one & ~zeros
-            vals0[op[2]] = M & ~one
-            vals1[op[2]] = M & ~zeros
-        elif code == OPC_CLASS:
-            dst = op[1]
-            acc0 = acc1 = driven = maybe = conf = 0
-            pk = get_poke(dst)
-            if pk is not None:
-                acc0, acc1, _ = pk
-                driven = acc0 | acc1
-            for cond, src, const in op[2]:
-                if cond >= 0:
-                    c0 = vals0[cond]
-                    c1 = vals1[cond]
-                    on = c1 & ~c0
-                    # Guard UNDEF -- or a floating NOINFL guard, which
-                    # amplifies to UNDEF -- *may* drive: poisons the lane.
-                    maybe |= M & ~(on | (c0 & ~c1))
-                    if not on:
-                        continue
-                else:
-                    on = M
-                if const is None:
-                    d0 = vals0[src] & on
-                    d1 = vals1[src] & on
-                else:
-                    b0, b1 = LOGIC_PLANES[const]
-                    d0 = on if b0 else 0
-                    d1 = on if b1 else 0
-                drive = d0 | d1
-                if drive:
-                    clash = driven & drive
-                    if clash:
-                        conflict(dst, clash, acc0, acc1, d0, d1)
-                        conf |= clash
-                    acc0 |= d0
-                    acc1 |= d1
-                    driven |= drive
-            vals0[dst] = acc0 | conf | maybe
-            vals1[dst] = acc1 | conf | maybe
-        elif code == OPC_NOT:
-            v0 = vals0[op[1]]
-            v1 = vals1[op[1]]
-            vals0[op[2]] = M & ~(v0 & ~v1)
-            vals1[op[2]] = M & ~(v1 & ~v0)
-        elif code == OPC_EQUAL:
-            diff = undef = 0
-            for ai, bi in op[1]:
-                a0 = vals0[ai]
-                a1 = vals1[ai]
-                b0 = vals0[bi]
-                b1 = vals1[bi]
-                both_def = (a0 ^ a1) & (b0 ^ b1)
-                diff |= both_def & (a1 ^ b1)
-                undef |= M & ~both_def
-            vals0[op[2]] = diff | undef
-            vals1[op[2]] = M & ~diff
-        elif code == OPC_OR:
-            ins = op[1]
-            if len(ins) == 2:
-                a0 = vals0[ins[0]]
-                a1 = vals1[ins[0]]
-                b0 = vals0[ins[1]]
-                b1 = vals1[ins[1]]
-                ones = (a1 & ~a0) | (b1 & ~b0)
-                zero = (a0 & ~a1) & (b0 & ~b1) & ~ones
-            else:
-                ones = 0
-                all_zero = M
-                for i in ins:
-                    v0 = vals0[i]
-                    v1 = vals1[i]
-                    ones |= v1 & ~v0
-                    all_zero &= v0 & ~v1
-                zero = all_zero & ~ones
-            vals0[op[2]] = M & ~ones
-            vals1[op[2]] = M & ~zero
-        elif code == OPC_CONST:
-            dst = op[1]
-            s0, s1 = broadcast(op[2], M)
-            pk = get_poke(dst)
-            if pk is None:
-                vals0[dst] = s0
-                vals1[dst] = s1
-            else:
-                p0, p1, _ = pk
-                clash = (p0 | p1) & (s0 | s1)
-                if clash:
-                    conflict(dst, clash, p0, p1, s0, s1)
-                vals0[dst] = p0 | s0 | clash
-                vals1[dst] = p1 | s1 | clash
-        elif code == OPC_XOR:
-            ins = op[1]
-            if len(ins) == 2:
-                a0 = vals0[ins[0]]
-                a1 = vals1[ins[0]]
-                b0 = vals0[ins[1]]
-                b1 = vals1[ins[1]]
-                all_def = (a0 ^ a1) & (b0 ^ b1)
-                parity = (a1 & ~a0) ^ (b1 & ~b0)
-            else:
-                all_def = M
-                parity = 0
-                for i in ins:
-                    v0 = vals0[i]
-                    v1 = vals1[i]
-                    all_def &= v0 ^ v1
-                    parity ^= v1 & ~v0
-            nd = M & ~all_def
-            vals0[op[2]] = (all_def & ~parity) | nd
-            vals1[op[2]] = (all_def & parity) | nd
-        elif code == OPC_NAND:
-            zeros = 0
-            all_one = M
-            for i in op[1]:
-                v0 = vals0[i]
-                v1 = vals1[i]
-                zeros |= v0 & ~v1
-                all_one &= v1 & ~v0
-            one = all_one & ~zeros
-            # NOT of a NOINFL-free value just swaps the planes.
-            vals0[op[2]] = M & ~zeros
-            vals1[op[2]] = M & ~one
-        elif code == OPC_NOR:
-            ones = 0
-            all_zero = M
-            for i in op[1]:
-                v0 = vals0[i]
-                v1 = vals1[i]
-                ones |= v1 & ~v0
-                all_zero &= v0 & ~v1
-            zero = all_zero & ~ones
-            vals0[op[2]] = M & ~zero
-            vals1[op[2]] = M & ~ones

@@ -1,14 +1,13 @@
-"""Per-design code generation: the ``engine="codegen"`` kernel.
+"""Per-design code generation: the compiled lane kernel.
 
-The batched engine (:mod:`repro.core.batched`) interprets the levelized
-:class:`~repro.core.schedule.Schedule` opcode by opcode: every pass pays
-a dispatch branch, a tuple unpack and two list indexes per op, on top of
-the plane arithmetic that is the actual work.  This module removes the
-interpreter entirely, in the style of compiled-code logic simulators
-(and of Hardcaml's simulation backends): at :class:`Simulator`
-construction the schedule is *compiled to Python source* -- one straight
--line function whose locals are the bitplanes -- and ``exec``-compiled
-once.  A cycle is then a single call of generated code:
+Every lane simulation (``engine="codegen"`` and its alias
+``engine="batched"``) runs the levelized
+:class:`~repro.core.schedule.Schedule` as generated code, in the style
+of compiled-code logic simulators (and of Hardcaml's simulation
+backends): at :class:`Simulator` construction the schedule is *compiled
+to Python source* -- one straight-line function whose locals are the
+bitplanes -- and ``exec``-compiled once.  A cycle is then a single call
+of generated code:
 
 * no per-opcode dispatch -- each op is emitted as its own expression;
 * locals-only variable access (``LOAD_FAST``), no per-op list indexing;
@@ -20,26 +19,35 @@ once.  A cycle is then a single call of generated code:
 * gates consume *amplified* planes (NOINFL pre-converted to UNDEF), so
   the AND/OR/NAND/NOR rules collapse to two plane ops each and NOT to a
   pure alias swap; the amplification itself is emitted only for the few
-  classes that can actually carry NOINFL (multiplex nets, free nets) --
-  gate outputs, register outputs and poked inputs provably cannot.
+  classes that can actually carry NOINFL (multiplex nets, free nets,
+  inputs poked NOINFL) -- gate outputs and register outputs provably
+  cannot.
 
-Planes are unbounded Python ints, exactly the batched engine's state
-layout (the :class:`Simulator` reuses its plane lists, pokes and
-register planes unchanged), at every lane count.  Any schedule the
-emitter cannot handle raises :class:`CodegenError`; the caller falls
-back to the interpreted batched path, so ``engine="codegen"`` is never
-less capable than ``engine="batched"``.
+Planes are unbounded Python ints in the encoding of
+:mod:`repro.core.batched`, at every lane count.  :class:`CodegenError`
+only guards against emitter bugs: every schedule compiles.
 
 Poke contract
 -------------
 
-The generated function only merges pokes on *input-default* classes
-(inputs without drivers -- where virtually all stimulus lands), and only
-non-NOINFL poke values; :attr:`CompiledStep.poke_ok` names the classes.
-The :class:`Simulator` checks the active poke table against that set and
-runs the interpreted batched pass instead when an exotic poke (an INOUT
-pin, an internal net, a NOINFL lane) is present -- same observations,
-interpreter speed.
+Most stimulus lands on *input-default* classes (inputs without
+drivers), and every kernel merges those pokes.  Any other poke is
+*exotic*: an INOUT pin or internal net (a COPY, CONST or multiplex
+destination), or an input poked NOINFL in some lane.
+:func:`compile_step` takes the set of exotically poked classes and
+emits merge code for exactly those, with the dataflow engine's rule
+that a poke counts as one more driver:
+
+* a COPY or CONST destination reports the lanes where poke and source
+  both drive through ``conflict`` and resolves to
+  ``poke | source | clash``;
+* a multiplex class starts its accumulators and driven mask from the
+  poke, so every driver is checked for a conflict, the first included;
+* an input with NOINFL lanes may float, so gates amplify it first.
+
+The :class:`Simulator` derives the set from its poke table and keeps
+one kernel per distinct set; the empty set -- the common case --
+emits no merge code at all.
 """
 
 from __future__ import annotations
@@ -65,26 +73,28 @@ from .values import Logic
 
 
 class CodegenError(Exception):
-    """The emitter cannot compile this schedule (the caller should fall
-    back to the interpreted batched engine)."""
+    """The emitter cannot compile this schedule (an emitter bug)."""
 
 
 class CompiledStep:
     """One exec-compiled combinational pass over a schedule.
 
     ``fn(vals0, vals1, pokes, reg0, reg1, lane_rngs, conflict, M)``
-    mirrors :func:`repro.core.batched.execute` -- same state layout,
-    same argument meaning.  :attr:`source` is the generated Python
-    source (goldens in ``tests/test_codegen.py`` pin it down).
+    overwrites the per-class bitplanes ``vals0``/``vals1`` from the
+    poke table ``pokes`` (class -> ``(plane0, plane1, lane_mask)``),
+    the register planes ``reg0``/``reg1`` and the per-lane rngs
+    ``lane_rngs`` (read only by RANDOM gates); ``M`` is the all-lanes
+    mask and ``conflict(dst, lanes, prior0, prior1, new0, new1)``
+    records per-lane multi-drive violations.  :attr:`source` is the
+    generated Python source (goldens in ``tests/test_codegen.py`` pin
+    it down).
     """
 
-    __slots__ = ("source", "fn", "poke_ok", "n_ops")
+    __slots__ = ("source", "fn", "n_ops")
 
-    def __init__(self, source: str, fn: Callable, poke_ok: frozenset,
-                 n_ops: int):
+    def __init__(self, source: str, fn: Callable, n_ops: int):
         self.source = source
         self.fn = fn
-        self.poke_ok = poke_ok
         self.n_ops = n_ops
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -97,8 +107,10 @@ class CompiledStep:
 class _Emitter:
     """Schedule -> Python source.  One instance per compile."""
 
-    def __init__(self, sched: Schedule):
+    def __init__(self, sched: Schedule, poked: frozenset):
         self.sched = sched
+        #: the exotically poked classes (see the module's poke contract).
+        self.poked = poked
         self.lines: list[str] = []
         #: per-class raw plane refs (expression strings), SSA-style.
         self.ref0: list[str | None] = [None] * sched.n
@@ -161,7 +173,7 @@ class _Emitter:
 
     # -- emission --------------------------------------------------------
 
-    def compile(self, func_name: str) -> tuple[str, frozenset]:
+    def compile(self, func_name: str) -> str:
         sched = self.sched
         self.emit(
             f"def {func_name}(vals0, vals1, pokes, reg0, reg1, "
@@ -169,10 +181,10 @@ class _Emitter:
         )
         self.emit("get_poke = pokes.get")
 
-        # Source firings (cycle start), mirroring batched.execute.
+        # Source firings (cycle start).
         for i in sched.free_nets:
             self.set_raw(i, "0", "0", noinfl=True)
-        poke_ok = self._emit_input_defaults()
+        self._emit_input_defaults()
         for ri, qi in sched.reg_pairs:
             # Register planes are never NOINFL: they start UNDEF and the
             # latch only overwrites driven lanes.
@@ -192,19 +204,17 @@ class _Emitter:
         for i in range(sched.n):
             if self.ref0[i] is None:
                 raise CodegenError(f"class {i} has no producer")
-        return "\n".join(self.lines) + "\n", poke_ok
+        return "\n".join(self.lines) + "\n"
 
-    def _emit_input_defaults(self) -> frozenset:
-        """Input classes: default value unless poked.  Pokes here carry
-        no NOINFL lanes (the Simulator falls back for those), so the
-        merged value never needs amplification."""
-        poke_ok = set()
+    def _emit_input_defaults(self) -> None:
+        """Input classes: default value unless poked.  Only an input
+        in the poked set can carry NOINFL lanes, so only those need
+        amplification before a gate reads them."""
         for i, default in self.sched.input_defaults:
             if default not in (Logic.ZERO, Logic.UNDEF):
                 raise CodegenError(
                     f"unsupported input default {default!r}"
                 )
-            poke_ok.add(i)
             undef = default is Logic.UNDEF
             self.emit(f"pk = get_poke({i})")
             self.emit("if pk is None:")
@@ -215,18 +225,17 @@ class _Emitter:
             self.emit("f = M ^ pm", 2)
             self.emit(f"p{i} = f | t0", 2)
             self.emit(f"q{i} = {'f | t1' if undef else 't1'}", 2)
-            self.set_raw(i, f"p{i}", f"q{i}", noinfl=False)
-        return frozenset(poke_ok)
+            self.set_raw(i, f"p{i}", f"q{i}", noinfl=i in self.poked)
 
     def _emit_random(self, out: int) -> None:
-        """RANDOM source: consume each lane rng once, lane order --
-        exactly the interpreter's stream, so the seed+k contract holds."""
-        self.emit("ones = 0")
-        self.emit("bit = 1")
-        self.emit("for rng in lane_rngs:")
-        self.emit("if rng.random() < 0.5:", 2)
-        self.emit("ones |= bit", 3)
-        self.emit("bit <<= 1", 2)
+        """RANDOM source: consume each lane rng once, lane 0 first --
+        the scalar engines' stream, so the seed+k contract holds.  The
+        draws form one lane column (highest lane first after the
+        reverse) read by a single ``int(_, 2)``: linear in lanes."""
+        self.emit(
+            "ones = int(''.join(['1' if rng.random() < 0.5 else '0' "
+            "for rng in lane_rngs])[::-1], 2)"
+        )
         self.emit(f"p{out} = M ^ ones")
         self.emit(f"q{out} = ones")
         self.set_raw(out, f"p{out}", f"q{out}", noinfl=False)
@@ -234,9 +243,12 @@ class _Emitter:
     def _emit_op(self, op: tuple) -> None:
         code = op[0]
         if code == OPC_COPY:
-            # Pure aliasing: the dst planes *are* the src planes (pokes
-            # on COPY destinations route through the interpreter).
             dst, src = op[1], op[2]
+            if dst in self.poked:
+                self._emit_poke_merge(dst, self.ref0[src], self.ref1[src],
+                                      self.maybe_noinfl[src])
+                return
+            # Pure aliasing: the dst planes *are* the src planes.
             self.ref0[dst] = self.ref0[src]
             self.ref1[dst] = self.ref1[src]
             self.amp0[dst] = self.amp0[src]
@@ -247,7 +259,11 @@ class _Emitter:
                 self._alias_amp(dst, src)
         elif code == OPC_CONST:
             e0, e1 = self.const_planes(op[2])
-            self.set_raw(op[1], e0, e1, noinfl=op[2] is Logic.NOINFL)
+            noinfl = op[2] is Logic.NOINFL
+            if op[1] in self.poked:
+                self._emit_poke_merge(op[1], e0, e1, noinfl)
+            else:
+                self.set_raw(op[1], e0, e1, noinfl)
         elif code == OPC_NOT:
             a0, a1 = self._amped(op[1])
             # NOT on amplified planes is a plane swap: zero ops.
@@ -262,6 +278,17 @@ class _Emitter:
             self._emit_class(op[1], op[2])
         else:  # pragma: no cover - future opcodes land here explicitly
             raise CodegenError(f"unknown opcode {code}")
+
+    def _emit_poke_merge(self, dst: int, s0: str, s1: str,
+                         noinfl: bool) -> None:
+        """A poked COPY/CONST destination: the poke is one more driver.
+        Lanes where both drive conflict and resolve UNDEF; the result
+        floats only where the source does."""
+        self.emit(f"t0, t1, pm = pokes[{dst}]")
+        self.emit(f"cl = (t0 | t1) & ({s0} | {s1})")
+        self.emit("if cl:")
+        self.emit(f"conflict({dst}, cl, t0, t1, {s0}, {s1})", 2)
+        self.define(dst, f"t0 | {s0} | cl", f"t1 | {s1} | cl", noinfl)
 
     def _alias_amp(self, dst: int, src: int) -> None:
         """Keep dst's amp cache tied to src's, so amplification emitted
@@ -384,11 +411,16 @@ class _Emitter:
     def _emit_class(self, dst: int, drivers: tuple) -> None:
         """A multiplex class: guarded drivers resolved with the maybe/
         NOINFL/burning rules of the interpreter, conflicts reported per
-        lane through the ``conflict`` hook.  Pokes on multiplex classes
-        are exotic (interpreter fallback), so the accumulators start
-        empty."""
-        self.emit("ac0 = ac1 = dv = mb = cf = 0")
-        first = True
+        lane through the ``conflict`` hook.  A poked class starts from
+        the poke as an earlier driver, so even the first driver may
+        conflict."""
+        first = dst not in self.poked
+        if first:
+            self.emit("ac0 = ac1 = dv = mb = cf = 0")
+        else:
+            self.emit(f"ac0, ac1, pm = pokes[{dst}]")
+            self.emit("dv = ac0 | ac1")
+            self.emit("mb = cf = 0")
         for cond, src, const in drivers:
             depth = 1
             if cond >= 0:
@@ -446,16 +478,18 @@ class _Emitter:
 
 
 def compile_step(
-    sched: Schedule, *, func_name: str = "zeus_step"
+    sched: Schedule,
+    *,
+    poked: frozenset = frozenset(),
+    func_name: str = "zeus_step",
 ) -> CompiledStep:
-    """Compile *sched* into one :class:`CompiledStep`."""
-    source, poke_ok = _Emitter(sched).compile(func_name)
+    """Compile *sched* into one :class:`CompiledStep` that merges the
+    exotic pokes of the classes in *poked* (see the poke contract)."""
+    source = _Emitter(sched, poked).compile(func_name)
     namespace: dict = {}
     try:
         code = compile(source, "<zeus-codegen>", "exec")
     except SyntaxError as exc:  # pragma: no cover - emitter bug guard
         raise CodegenError(f"generated source does not compile: {exc}")
     exec(code, namespace)
-    return CompiledStep(
-        source, namespace[func_name], poke_ok, len(sched.ops)
-    )
+    return CompiledStep(source, namespace[func_name], len(sched.ops))

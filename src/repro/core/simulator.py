@@ -42,7 +42,6 @@ from .batched import (
     lane_value,
     unpack,
 )
-from .batched import execute as _execute_batched
 from .elaborate import Design
 from .netlist import Gate, Net
 from .schedule import Schedule, ScheduleError, build_schedule
@@ -91,7 +90,7 @@ class Simulator:
     """Cycle-based simulator for an elaborated (and ideally checked)
     :class:`~repro.core.elaborate.Design`.
 
-    Three evaluation engines share the section-8 semantics:
+    Three evaluators share the section-8 semantics:
 
     * ``"levelized"`` -- the scalar fast path: gates and drivers are
       compiled once into a static topological
@@ -101,22 +100,18 @@ class Simulator:
     * ``"dataflow"`` -- the original firing-rule engine (worklist + watch
       lists), the semantics oracle and the only engine able to run
       unchecked cyclic designs;
-    * ``"batched"`` -- the bit-parallel engine: *lanes* independent
-      stimuli evaluate per pass over the same schedule, each net held as
-      two bitplane ints (see :mod:`repro.core.batched`).  Drive lanes
-      with :meth:`poke_lanes` (scalar :meth:`poke` broadcasts), read
-      them with :meth:`peek_lanes`; scalar :meth:`peek` and traces see
-      lane 0.  Lane ``k`` behaves exactly like a scalar run with seed
-      ``seed + k``.  When no schedule can be built the lane API stays
-      available through a per-lane dataflow fallback (the reason in
-      :attr:`engine_reason`);
-    * ``"codegen"`` -- the batched engine's lane model with the
-      interpreter compiled away: the schedule is emitted as one
-      exec-compiled Python function over the same big-int planes at
-      construction (see :mod:`repro.core.codegen`).  Same lane API,
-      same observations; exotic pokes (INOUT pins, internal nets,
-      NOINFL lanes) transparently run the interpreted batched pass
-      instead.
+    * ``"codegen"`` (alias ``"batched"``) -- the bit-parallel lane
+      engine: *lanes* independent stimuli evaluate per pass of one
+      exec-compiled kernel of the schedule, each net held as two
+      bitplane ints (see :mod:`repro.core.codegen` and
+      :mod:`repro.core.batched`).  Drive lanes with :meth:`poke_lanes`
+      (scalar :meth:`poke` broadcasts), read them with
+      :meth:`peek_lanes`; scalar :meth:`peek` and traces see lane 0.
+      Lane ``k`` behaves exactly like a scalar run with seed
+      ``seed + k``.  Exotic pokes (INOUT pins, internal nets, NOINFL
+      lanes) select a kernel compiled with their merge code.  When no
+      schedule can be built the lane API stays available through a
+      per-lane dataflow fallback (the reason in :attr:`engine_reason`).
 
     ``engine="auto"`` (the default) selects the levelized engine whenever
     a schedule can be built, and otherwise falls back to dataflow with
@@ -245,10 +240,10 @@ class Simulator:
         #: why the dataflow engine was selected ("" for levelized).
         self.engine_reason = ""
         self._schedule: Schedule | None = None
-        #: lane count on the batched engine, None on the scalar engines.
+        #: lane count on the lane engine, None on the scalar engines.
         self.lanes: int | None = None
-        #: the CompiledStep on the codegen engine (None when the schedule
-        #: did not compile and the interpreted batched pass runs instead).
+        #: the lane engine's current kernel (None on the scalar engines
+        #: and the per-lane dataflow fallback).
         self._cg = None
         if engine in ("batched", "codegen"):
             if lanes < 1:
@@ -258,7 +253,7 @@ class Simulator:
                     "record_firing needs a scalar engine (the firing log "
                     "is defined by dataflow propagation order)"
                 )
-            self.engine = engine
+            self.engine = "codegen"
             self.lanes = lanes
             self._lane_mask = (1 << lanes) - 1
             #: lane k's rng, seeded seed + k; only RANDOM gates read
@@ -291,21 +286,14 @@ class Simulator:
                 self.engine_reason = (
                     f"bit-parallel fallback to per-lane dataflow: {exc}"
                 )
-            if engine == "codegen" and self._batched_fast:
-                from .codegen import CodegenError, compile_step
-
-                try:
-                    with span("codegen", design=self.design.name):
-                        self._cg = compile_step(self._schedule)
-                except CodegenError as exc:
-                    self.engine_reason = (
-                        f"codegen fallback to interpreted batched: {exc}"
-                    )
-                else:
-                    #: poke table changed since the last compiled-pass
-                    #: eligibility check.
-                    self._cg_dirty = True
-                    self._cg_pokes_ok = True
+            if self._batched_fast:
+                #: driverless inputs: every kernel merges their pokes.
+                self._plain_inputs = frozenset(
+                    i for i, _ in self._schedule.input_defaults
+                )
+                #: one compiled kernel per distinct exotic-poke set.
+                self._kernels: dict = {}
+                self._select_kernel()
         elif engine == "dataflow":
             self.engine_reason = "dataflow engine requested"
         elif engine == "auto" and self.metrics.keep_firing_log:
@@ -663,19 +651,20 @@ class Simulator:
         if not amask:
             return []
         fresh: list[Violation] = []
-        snapshot_rngs = bool(fmask) and self._has_random
+        frozen_rngs = []
+        if fmask and self._has_random:
+            # The frozen lanes' rngs, read off one lane column of fmask.
+            column = format(fmask, f"0{self.lanes}b")[::-1]
+            frozen_rngs = [
+                rng for rng, bit in zip(self._lane_rngs, column) if bit == "1"
+            ]
         strict = self.strict
         for _ in range(cycles):
             v0 = len(self.violations)
             if fmask:
                 old0 = self._bvals0[:]
                 old1 = self._bvals1[:]
-                if snapshot_rngs:
-                    rng_saves = [
-                        (k, self._lane_rngs[k].getstate())
-                        for k in range(self.lanes)
-                        if (fmask >> k) & 1
-                    ]
+                rng_saves = [rng.getstate() for rng in frozen_rngs]
             # Strict raising is deferred: a phantom conflict on a frozen
             # lane must not abort an active lane's step.
             self.strict = False
@@ -700,9 +689,8 @@ class Simulator:
                 for i in range(len(b0)):
                     b0[i] = (old0[i] & fmask) | (b0[i] & amask)
                     b1[i] = (old1[i] & fmask) | (b1[i] & amask)
-                if snapshot_rngs:
-                    for k, state in rng_saves:
-                        self._lane_rngs[k].setstate(state)
+                for rng, state in zip(frozen_rngs, rng_saves):
+                    rng.setstate(state)
             fresh.extend(new)
             self._latch_lanes(amask)
             self.cycle += 1
@@ -803,43 +791,25 @@ class Simulator:
             self._evaluate_dataflow()
 
     def _evaluate_batched(self) -> None:
-        """Bit-parallel pass: all lanes in one sweep over the schedule
-        (or the per-lane dataflow fallback), then lane 0 materialized
-        into ``self.values`` so scalar peeks and traces keep working."""
+        """Bit-parallel pass: all lanes in one call of the compiled
+        kernel (or the per-lane dataflow fallback), then lane 0
+        materialized into ``self.values`` so scalar peeks and traces
+        keep working."""
         mon = self.metrics.enabled
         self._metrics_on = mon
         if self._batched_fast:
-            cg = self._cg
-            if cg is not None:
-                if self._cg_dirty:
-                    self._cg_refresh_pokes()
-                if not self._cg_pokes_ok:
-                    # An exotic poke (INOUT pin, internal net, NOINFL
-                    # lane): the generated function cannot merge it.
-                    cg = None
-            if cg is None:
-                _execute_batched(
-                    self._schedule,
-                    self._lane_mask,
-                    self._bvals0,
-                    self._bvals1,
-                    self._bpokes,
-                    self._breg0,
-                    self._breg1,
-                    self._lane_rngs,
-                    self._lane_conflict,
-                )
-            else:
-                cg.fn(
-                    self._bvals0,
-                    self._bvals1,
-                    self._bpokes,
-                    self._breg0,
-                    self._breg1,
-                    self._lane_rngs,
-                    self._lane_conflict,
-                    self._lane_mask,
-                )
+            if self._cg_dirty:
+                self._select_kernel()
+            self._cg.fn(
+                self._bvals0,
+                self._bvals1,
+                self._bpokes,
+                self._breg0,
+                self._breg1,
+                self._lane_rngs,
+                self._lane_conflict,
+                self._lane_mask,
+            )
         else:
             self._evaluate_batched_fallback()
             self._metrics_on = mon
@@ -859,19 +829,28 @@ class Simulator:
         ]
         self._values_stale = False
 
-    # -- codegen engine plumbing ----------------------------------------------
+    def _select_kernel(self) -> None:
+        """Point ``_cg`` at the kernel for the current poke table,
+        compiling it on first use.  Exotic pokes -- any class but a
+        driverless input, or an input with NOINFL lanes -- need their
+        merge code compiled in (see :mod:`repro.core.codegen`)."""
+        plain = self._plain_inputs
+        poked = frozenset(
+            i for i, (p0, p1, pm) in self._bpokes.items()
+            if i not in plain or pm & ~(p0 | p1)
+        )
+        kernel = self._kernels.get(poked)
+        if kernel is None:
+            from ..obs.spans import span
+            from . import codegen
 
-    def _cg_refresh_pokes(self) -> None:
-        """Re-check poke eligibility after the poke table changed: the
-        generated function only merges non-NOINFL pokes on the compiled
-        input set (anything else runs the interpreted pass)."""
-        ok = True
-        poke_ok = self._cg.poke_ok
-        for i, (p0, p1, pm) in self._bpokes.items():
-            if i not in poke_ok or pm & ~(p0 | p1):
-                ok = False
-                break
-        self._cg_pokes_ok = ok
+            # Looked up on the module at call time, so a wrapped
+            # ``codegen.compile_step`` sees every compile.
+            with span("codegen", design=self.design.name):
+                kernel = codegen.compile_step(self._schedule, poked=poked)
+            self._kernels[poked] = kernel
+        self._cg = kernel
+        #: poke table changed since the kernel was selected.
         self._cg_dirty = False
 
     def _evaluate_batched_fallback(self) -> None:

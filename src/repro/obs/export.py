@@ -13,7 +13,7 @@ A report is a plain JSON object:
         "spans":       [{name, path, start, duration_s, depth}, ...]
       },
       "sim": {                          # omitted if no simulation ran
-        "engine",                       # "levelized"|"dataflow"|"batched"
+        "engine",                       # "levelized"|"dataflow"|"codegen"
         "cycles", "firings", "firings_per_cycle_avg", "gate_evals",
         "driver_evals", "propagation_steps", "latches", "violations",
         "peak_cycle", "peak_cycle_firings",
@@ -76,7 +76,7 @@ carrying a causal explanation (:mod:`repro.obs.causal`):
     {
       "schema": "zeus.trace/1",
       "design": {"name", "nets", "gates", "connections", "registers"},
-      "engine",                         # "levelized"|"dataflow"|"batched"
+      "engine",                         # "levelized"|"dataflow"|"codegen"
       "lanes",                          # int | null (scalar engines)
       "window": {"first", "last",       # recorded cycle range (null/empty)
                  "capacity", "recorded", "dropped"},

@@ -50,7 +50,7 @@ class SimMetrics:
         self.gate_labels = gate_labels
         self.reset()
         #: which engine produced the counters ("levelized"/"dataflow"/
-        #: "batched"); set by the owning Simulator, survives reset().
+        #: "codegen"); set by the owning Simulator, survives reset().
         self.engine = "dataflow"
         #: lane count on the batched engine (None on scalar engines);
         #: set by the owning Simulator, survives reset().

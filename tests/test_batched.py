@@ -548,7 +548,7 @@ class TestFallbackAndStrict:
     def test_cyclic_design_falls_back_per_lane(self):
         circuit = repro.compile_text(CYCLIC, strict=False)
         sim = circuit.simulator(engine="batched", lanes=3)
-        assert sim.engine == "batched"
+        assert sim.engine == "codegen"
         assert not sim._batched_fast
         assert "fallback" in sim.engine_reason
         sim.poke_lanes("a", [0, 1, None])
@@ -631,7 +631,7 @@ class TestCliBatch:
             capsys,
         )
         assert code == 0
-        assert "batched run: 4 lanes x 1 cycles (bit-parallel)" in out
+        assert "codegen run: 4 lanes x 1 cycles (bit-parallel)" in out
         # every lane sums to 15
         assert out.count(" 15") >= 4
 
@@ -642,7 +642,7 @@ class TestCliBatch:
             capsys,
         )
         assert code == 0
-        assert "batched run: 2 lanes" in out
+        assert "codegen run: 2 lanes" in out
 
     def test_lane_count_conflict_exits_2(self, tmp_path, capsys):
         stim = tmp_path / "stim.json"

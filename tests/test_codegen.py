@@ -8,8 +8,11 @@ Covers:
   NOINFL into a gate, which must read it as UNDEF);
 * a generated-source golden file for one stdlib design (mux4) so
   unintended emission changes show up in review;
-* the exotic-poke contract: the interpreter runs the passes that see
-  an exotic poke, the compiled function every other pass;
+* the exotic-poke contract: pokes on COPY, CONST and multiplex
+  destinations and NOINFL input lanes compile into the kernel (one
+  kernel per distinct poked set) and match per-lane dataflow runs;
+* RANDOM draws and frozen-lane rng snapshots at 4099 lanes against
+  scalar runs seeded ``seed + k``;
 * the four-engine differential fuzz slice (dataflow oracle);
 * a lane count above 65536 that is not a multiple of 64;
 * the flight-recorder ``reset``/rebind regressions (stale pre-reset
@@ -18,6 +21,7 @@ Covers:
 
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -28,7 +32,9 @@ from hypothesis import strategies as st
 import repro
 from repro.analysis.fuzzgen import differential_check, generate_program
 from repro.core.codegen import CompiledStep, compile_step
+from repro.core.schedule import OPC_CLASS, OPC_CONST, OPC_COPY
 from repro.core.values import GATE_FUNCTIONS, Logic
+from repro.lang.errors import SimulationError
 from repro.obs.flight import FlightRecorder
 from repro.stdlib import programs
 from repro.testbench import Testbench
@@ -169,10 +175,11 @@ class TestOpcodeAgreement:
             sim.poke_lanes("i0", ALL_LOGIC)
             sim.step()
             got = [v[0] for v in sim.peek_lanes("y")]
-            ref = circuit.simulator(engine="batched", lanes=len(ALL_LOGIC))
-            ref.poke_lanes("i0", ALL_LOGIC)
-            ref.step()
-            assert got == [v[0] for v in ref.peek_lanes("y")]
+            for k, value in enumerate(ALL_LOGIC):
+                ref = circuit.simulator(engine="dataflow")
+                ref.poke("i0", value)
+                ref.step()
+                assert got[k] is ref.peek("y")[0], (const, value)
 
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=30, deadline=None)
@@ -266,50 +273,218 @@ class TestGeneratedSource:
         assert "vals0[:] = [" in src and "vals1[:] = [" in src
         assert isinstance(step, CompiledStep)
         assert step.n_ops > 0
-        # poke_ok covers exactly the compiled input-default classes
-        assert step.poke_ok and all(isinstance(i, int) for i in step.poke_ok)
+        # no exotic poke: the kernel reads only input-default pokes
+        assert "get_poke(" in src and "pokes[" not in src
 
 
-# -- exotic pokes: per-pass interpreter fallback --------------------------
+# -- exotic pokes: compiled into the kernel -------------------------------
+
+
+#: One class of every exotically pokeable kind: ``c`` is a COPY
+#: destination, ``k`` a CONST destination, ``p`` a two-driver multiplex
+#: class and ``io`` a multiplex INOUT pin; the input ``a`` is exotic
+#: when poked NOINFL.
+EXOTIC = """
+TYPE t = COMPONENT (IN a, b, g: boolean; OUT y, v, w: boolean;
+                    io: multiplex) IS
+SIGNAL c, k: boolean; p: multiplex;
+BEGIN
+    c := AND(a, b);
+    k := 1;
+    IF g THEN p := a END;
+    IF b THEN p := 0 END;
+    IF a THEN io := b END;
+    y := XOR(c, a);
+    v := AND(k, b);
+    w := NOR(p, io)
+END;
+SIGNAL u: t;
+"""
+
+#: poked path -> the schedule opcode producing its class (None: input).
+EXOTIC_KINDS = {
+    "u.c": OPC_COPY, "u.k": OPC_CONST, "u.p": OPC_CLASS, "u.io": OPC_CLASS,
+    "u.a": None,
+}
+EXOTIC_WATCH = ("u.y", "u.v", "u.w", "u.c", "u.k", "u.p", "u.io")
+#: One lane's poke of the exotic path (None: that lane is not poked).
+EXOTIC_POKES = [None, Logic.ZERO, Logic.ONE, Logic.UNDEF, Logic.NOINFL]
+
+
+def _exotic_pokes(path, k, cycle):
+    """Lane *k*'s pokes in *cycle*: the inputs from 0/1/UNDEF, then
+    *path* from EXOTIC_POKES; cycle 2 releases *path* on every lane."""
+    rnd = random.Random(k * 3 + cycle)
+    pokes = {name: rnd.choice(ALL_LOGIC[:3]) for name in ("u.a", "u.b", "u.g")}
+    pokes[path] = rnd.choice(EXOTIC_POKES) if cycle < 2 else None
+    return pokes
+
+
+def _producer(sim, path):
+    """The opcode producing *path*'s class (None for an input)."""
+    (net,) = sim.nets_of(path)
+    i = sim._idx(net)
+    if i in {j for j, _ in sim._schedule.input_defaults}:
+        return None
+    return next(op[0] for op in sim._schedule.ops
+                if op[0] in (OPC_COPY, OPC_CONST, OPC_CLASS) and op[1] == i)
+
+
+def _violations(violations, lane=None):
+    """The (cycle, net) violation set the fuzz harness compares: with
+    three drivers the engines name different prior values."""
+    return sorted((v.cycle, v.net) for v in violations if v.lane == lane)
 
 
 class TestExoticPokes:
-    GUARDED = TestAmplification.NOINFL_FEED
+    """Pokes the input-default merge cannot express compile into a
+    kernel of their own; every lane must equal a dataflow run."""
 
-    def test_int_backend_falls_back_per_pass(self):
-        """A poke on a multiplex (non-input-default) class cannot be
-        merged by the compiled function: the pass runs on the
-        interpreter (matching plain batched exactly), and the compiled
-        path resumes after unpoke."""
-        circuit = compile_ok(self.GUARDED)
-        sim = _codegen_sim(circuit, 4)
-        ref = circuit.simulator(engine="batched", lanes=4)
-        for s in (sim, ref):
-            s.poke_lanes("a", [Logic.ONE] * 4)
-            s.poke("u.p", 1)  # internal multiplex net: exotic
-            s.step()
-        assert not sim._cg_pokes_ok  # this pass interpreted
-        assert sim.peek_lanes("y") == ref.peek_lanes("y")
-        for s in (sim, ref):
-            s.unpoke("u.p")
-            s.poke_lanes("g", [Logic.ONE] * 4)
-            s.step()
-        assert sim._cg_pokes_ok  # compiled path resumed
-        assert [v[0] for v in sim.peek_lanes("y")] == [Logic.ONE] * 4
-        assert sim.peek_lanes("y") == ref.peek_lanes("y")
+    @pytest.mark.parametrize("lanes", [1, 64, 4099])
+    @pytest.mark.parametrize("path", sorted(EXOTIC_KINDS))
+    def test_lanes_match_dataflow(self, path, lanes):
+        circuit = compile_ok(EXOTIC)
+        sim = _codegen_sim(circuit, lanes, strict=False)
+        assert _producer(sim, path) == EXOTIC_KINDS[path]
+        rows = []
+        for cycle in range(3):
+            stim = [_exotic_pokes(path, k, cycle) for k in range(lanes)]
+            for name in stim[0]:
+                sim.poke_lanes(name, [pokes[name] for pokes in stim])
+            sim.step()
+            rows.append({w: sim.peek_lanes(w) for w in EXOTIC_WATCH})
+        (net,) = sim.nets_of(path)
+        if lanes > 1:  # one lane may draw no exotic value
+            assert any(sim._idx(net) in key for key in sim._kernels)
+        conflicted = sorted({v.lane for v in sim.violations})
+        sample = set(range(min(lanes, 64))) | set(conflicted[:4])
+        sample |= {lanes // 2, lanes - 2, lanes - 1}
+        for k in sorted(lane for lane in sample if lane >= 0):
+            ref = circuit.simulator(engine="dataflow", strict=False)
+            for cycle in range(3):
+                for name, value in _exotic_pokes(path, k, cycle).items():
+                    if value is None:
+                        ref.unpoke(name)
+                    else:
+                        ref.poke(name, value)
+                ref.step()
+                for w in EXOTIC_WATCH:
+                    assert rows[cycle][w][k] == ref.peek(w), (k, cycle, w)
+            assert _violations(sim.violations, k) == _violations(
+                ref.violations), k
+
+    @pytest.mark.parametrize("lanes", [1, 64, 4099])
+    @pytest.mark.parametrize("path", ["u.c", "u.k", "u.p", "u.io"])
+    def test_strict_error_names_lowest_conflicting_lane(self, path, lanes):
+        """a=1, b=0, g=1 makes every producer drive exactly once, so a
+        driving poke conflicts on precisely the lanes it covers."""
+        circuit = compile_ok(EXOTIC)
+        first = lanes // 2
+        drive = {"u.a": 1, "u.b": 0, "u.g": 1}
+        sim = _codegen_sim(circuit, lanes)
+        for name, value in drive.items():
+            sim.poke(name, value)
+        sim.poke_lanes(path, [None] * first + [Logic.ZERO] * (lanes - first))
+        with pytest.raises(
+            SimulationError,
+            match=rf"signal '{path}' in cycle 0 \(lane {first}\)",
+        ):
+            sim.step()
+        # The oracle: the unpoked lanes run clean, a poked one burns.
+        ref = circuit.simulator(engine="dataflow")
+        for name, value in drive.items():
+            ref.poke(name, value)
+        ref.step()
+        ref.poke(path, Logic.ZERO)
+        with pytest.raises(SimulationError, match="burn"):
+            ref.step()
+
+    def test_each_poked_set_compiles_once(self, monkeypatch):
+        """poke -> unpoke -> re-poke reuses the cached kernels; the
+        Simulator finds ``compile_step`` on the codegen module at call
+        time, so a wrapper there sees every compile."""
+        import repro.core.codegen as codegen
+
+        compiled = []
+        real = codegen.compile_step
+
+        def counting(sched, **kw):
+            compiled.append(kw.get("poked", frozenset()))
+            return real(sched, **kw)
+
+        monkeypatch.setattr(codegen, "compile_step", counting)
+        circuit = compile_ok(EXOTIC)
+        sim = circuit.simulator(engine="batched", lanes=4, strict=False)
+        assert compiled == [frozenset()]
+        for _ in range(2):
+            sim.poke("u.p", 1)
+            sim.step()
+            sim.unpoke("u.p")
+            sim.step()
+        sim.poke_lanes("u.a", [Logic.NOINFL, 1, 0, None])  # exotic input
+        sim.step()
+        sim.poke_lane("u.p", 2, 0)
+        sim.step()
+        sim.poke_lanes("u.a", [1, 1, 0, None])  # plain again
+        sim.step()
+        p, a = (sim._idx(sim.nets_of(path)[0]) for path in ("u.p", "u.a"))
+        assert compiled == [
+            frozenset(), frozenset({p}), frozenset({a}), frozenset({a, p}),
+        ]
+        assert set(sim._kernels) == set(compiled)
+        assert sim._cg is sim._kernels[frozenset({p})]
 
     def test_noinfl_lane_poke_is_exotic_but_correct(self):
         circuit = _gate_circuit("AND", 2)
         sim = _codegen_sim(circuit, 4)
-        sim.poke_lanes("i0", [Logic.NOINFL, Logic.ONE, Logic.ZERO, Logic.ONE])
+        i0 = [Logic.NOINFL, Logic.ONE, Logic.ZERO, Logic.ONE]
+        sim.poke_lanes("i0", i0)
         sim.poke_lanes("i1", [Logic.ONE] * 4)
         sim.step()
         got = [v[0] for v in sim.peek_lanes("y")]
-        ref = circuit.simulator(engine="batched", lanes=4)
-        ref.poke_lanes("i0", [Logic.NOINFL, Logic.ONE, Logic.ZERO, Logic.ONE])
-        ref.poke_lanes("i1", [Logic.ONE] * 4)
-        ref.step()
-        assert got == [v[0] for v in ref.peek_lanes("y")]
+        for k, value in enumerate(i0):
+            ref = circuit.simulator(engine="dataflow")
+            ref.poke("i0", value)
+            ref.poke("i1", Logic.ONE)
+            ref.step()
+            assert got[k] is ref.peek("y")[0], k
+
+
+# -- RANDOM draws are one lane column ------------------------------------
+
+
+RANDOM_SHIFT = """
+TYPE t = COMPONENT (OUT y: boolean) IS
+SIGNAL r1, r2, r3: REG;
+BEGIN
+    r1.in := RANDOM();
+    r2.in := r1.out;
+    r3.in := r2.out;
+    y := XOR(r3.out, RANDOM())
+END;
+SIGNAL u: t;
+"""
+
+
+class TestRandomLanes:
+    LANES = 4099
+
+    def test_draws_and_frozen_lanes_match_scalar_seeds(self):
+        """Lane k consumes ``random.Random(seed + k)`` in gate order,
+        and a lane frozen by ``step_lanes`` neither draws nor latches."""
+        circuit = compile_ok(RANDOM_SHIFT)
+        seed = 5
+        sim = _codegen_sim(circuit, self.LANES, seed=seed)
+        sim.step(2)
+        frozen = {1, 64, 2050, 4097}
+        fmask = sum(1 << k for k in frozen)
+        sim.step_lanes(sim._lane_mask & ~fmask, cycles=3)
+        sim.step()
+        for k in (0, 1, 2, 63, 64, 2049, 2050, 4096, 4097, 4098):
+            ref = circuit.simulator(engine="dataflow", seed=seed + k)
+            ref.step(3 if k in frozen else 6)
+            assert sim.peek_lane("u.y", k) == ref.peek("u.y"), k
+            assert sim.registers(lane=k) == ref.registers(), k
 
 
 # -- registers and reset --------------------------------------------------
@@ -326,34 +501,24 @@ class TestStateful:
     SIGNAL u: t;
     """
 
-    def test_register_stream_matches_batched(self):
+    def test_register_stream_matches_dataflow(self):
         circuit = compile_ok(self.REGGED)
-        sims = {
-            "codegen": _codegen_sim(circuit, 3),
-            "batched": circuit.simulator(engine="batched", lanes=3),
-        }
-        rows = {name: [] for name in sims}
-        for name, sim in sims.items():
-            sim.poke_lanes("a", [1, 1, 0])
-            sim.poke("RSET", 1)
-            sim.step(2)
-            sim.poke("RSET", 0)
-            for _ in range(6):
-                sim.step()
-                rows[name].append(
-                    tuple(
-                        tuple(str(v) for v in lane)
-                        for lane in sim.peek_lanes("y")
-                    )
-                    + tuple(
-                        tuple(sorted(
-                            (k, str(v))
-                            for k, v in sim.registers(lane=ln).items()
-                        ))
-                        for ln in range(3)
-                    )
-                )
-        assert rows["codegen"] == rows["batched"]
+        a = [1, 1, 0]
+        sim = _codegen_sim(circuit, 3)
+        sim.poke_lanes("a", a)
+        refs = [circuit.simulator(engine="dataflow") for _ in a]
+        for ref, value in zip(refs, a):
+            ref.poke("a", value)
+        for s in (sim, *refs):
+            s.poke("RSET", 1)
+            s.step(2)
+            s.poke("RSET", 0)
+        for _ in range(6):
+            for s in (sim, *refs):
+                s.step()
+            for k, ref in enumerate(refs):
+                assert sim.peek_lane("y", k) == ref.peek("y"), k
+                assert sim.registers(lane=k) == ref.registers(), k
 
     def test_reset_state_restarts_the_run(self):
         circuit = compile_ok(self.REGGED)
@@ -402,7 +567,7 @@ class TestWideLanes:
             for path, value in pokes.items():
                 sim.poke_lane(path, lane, value)
         sim.step(2)
-        assert sim._cg_pokes_ok  # every pass ran the compiled function
+        assert set(sim._kernels) == {frozenset()}  # no exotic poke
         assert {v.lane for v in sim.violations} == {65599}
         for lane in (0, 1, 65535, 65536, 65599):
             ref = circuit.simulator(engine="dataflow", strict=False)

@@ -237,7 +237,8 @@ class TestEngineKnob:
         assert circuit.simulator(engine="dataflow").engine == "dataflow"
         assert circuit.simulator(engine="levelized").engine == "levelized"
         batched = circuit.simulator(engine="batched", lanes=4)
-        assert batched.engine == "batched"
+        assert batched.engine_requested == "batched"
+        assert batched.engine == "codegen"  # an alias of the lane engine
         assert batched.lanes == 4
         assert sim.lanes is None
         cg = circuit.simulator(engine="codegen", lanes=4)
@@ -344,7 +345,7 @@ class TestEngineCli:
              "--engine", "batched"], capsys
         )
         assert code == 0
-        assert "batched run: 64 lanes" in out
+        assert "codegen run: 64 lanes" in out
 
     def test_sim_engine_codegen_dispatches(self, capsys):
         outs = []
@@ -548,7 +549,7 @@ class TestBatchedKnobs:
     def test_testbench_lanes_knob(self):
         circuit = compile_ok(SIMPLE)
         tb = Testbench(circuit, lanes=4)
-        assert tb.sim.engine == "batched"
+        assert tb.sim.engine == "codegen"
         assert tb.sim.lanes == 4
         tb.drive_lanes("RSET", [1, 1, 1, 1])
         tb.clock()

@@ -34,7 +34,7 @@ from repro.service import (
     cache_key,
     serve_in_thread,
 )
-from repro.service.server import ZeusDaemon, _MuxState
+from repro.service.server import ZeusDaemon, _HttpError, _MuxState
 from repro.stdlib.programs import ALL_PROGRAMS
 
 HALF = """
@@ -354,6 +354,22 @@ class TestStepLanesContract:
 
 
 class TestLaneMux:
+    @pytest.mark.parametrize("engine", ["batched", "codegen"])
+    def test_session_engine_names_run_the_lane_kernel(self, engine):
+        """Both session engine names open the one compiled lane
+        engine; any other name is a 400."""
+        daemon = ZeusDaemon(workers=1)
+        body = asyncio.run(
+            daemon._session_open({"source": HALF, "engine": engine})
+        )
+        _session, state = daemon._sessions[body["session"]]
+        assert state.mux.sim.engine == "codegen"
+        assert state.mux.sim._cg is not None
+        with pytest.raises(_HttpError, match="batched|codegen"):
+            asyncio.run(
+                daemon._session_open({"source": HALF, "engine": "levelized"})
+            )
+
     def test_sessions_bit_identical_to_scalar(self):
         circuit = repro.compile_text(BLACKJACK, "bj", strict=False)
         mux = LaneMux(circuit, lanes=8)
