@@ -174,7 +174,8 @@ def _add_formal(p: argparse.ArgumentParser) -> None:
     p.add_argument("--depth", type=int, default=8, metavar="K",
                    help="BMC unrolling bound in cycles (default 8)")
     p.add_argument("--budget", type=int, default=100_000, metavar="N",
-                   help="solver node budget per SAT question (default 100000)")
+                   help="solver conflict budget per SAT question "
+                        "(default 100000)")
     p.add_argument("--no-induction", action="store_true",
                    help="skip the k-induction attempt after a clean BMC")
     p.add_argument("--format", choices=("text", "json"), default="text",
@@ -233,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--max-depth", type=int, metavar="N",
                    help="logic-depth-limit threshold (default 128)")
     p.add_argument("--prover-budget", type=int, metavar="N",
-                   help="case-split node budget per driver pair")
+                   help="solver conflict budget per driver pair")
     p.add_argument("--show-suppressed", action="store_true",
                    help="include suppressed findings in text output")
     p.add_argument("--list-rules", action="store_true",
@@ -344,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="skip SAT false-path pruning (every path "
                         "reports 'assumed')")
     p.add_argument("--budget", type=int, default=20_000, metavar="N",
-                   help="solver node budget per path (default 20000)")
+                   help="solver conflict budget per path (default 20000)")
     p.add_argument("--max-sat", type=int, default=200, metavar="N",
                    help="SAT classifications per run (default 200)")
 

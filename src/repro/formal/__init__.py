@@ -4,8 +4,11 @@ Three layers over one shared solver core:
 
 * :mod:`repro.formal.solver` — the expression language, the
   four-valued evaluator (routed through the simulator's own gate
-  table), and the bounded DPLL.  The lint driver-exclusivity prover
-  runs on this exact core.
+  table), and :func:`solve`, a clause-learning search over a dual-rail
+  CNF of the expression DAG (:mod:`repro.formal.cdcl`) that answers
+  :class:`Sat`, :class:`Unsat` or :class:`Unknown`.  The lint
+  driver-exclusivity prover and the timing false-path pruner run on
+  this exact core.
 * :mod:`repro.formal.encode` — frame-indexed unrolling of the REG-cut
   semantics graph (buses, latches, amplifiers) with structural
   interning.
@@ -30,10 +33,12 @@ Quickstart::
 """
 
 from .solver import (  # noqa: F401  (import order: solver has no deps)
-    BudgetExceeded,
     ConeBuilder,
     ExprFactory,
+    Sat,
     SolverStats,
+    Unknown,
+    Unsat,
     apply_op,
     cosat,
     eval_expr,
@@ -53,7 +58,6 @@ from .bmc import FormalConfig, default_properties, prove  # noqa: F401
 from .equiv import check_equivalence  # noqa: F401
 
 __all__ = [
-    "BudgetExceeded",
     "ConeBuilder",
     "Counterexample",
     "EncodeError",
@@ -63,7 +67,10 @@ __all__ = [
     "ProofReport",
     "PropertyResult",
     "SCHEMA",
+    "Sat",
     "SolverStats",
+    "Unknown",
+    "Unsat",
     "apply_op",
     "check_equivalence",
     "cosat",

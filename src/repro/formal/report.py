@@ -12,8 +12,9 @@ and :func:`validate_proof_report` is its executable definition:
                    "registers"}],
       "config": {"depth", "budget", "induction"},
       "solver": {"clauses",          # interned expression nodes
-                 "decisions", "nodes", "sat_calls",
-                 "budget_exhausted", "depth_reached"},
+                 "decisions",        # CDCL branch decisions
+                 "nodes",            # CDCL conflicts (the budget's unit)
+                 "sat_calls", "budget_exhausted", "depth_reached"},
       "verdict": "proved" | "counterexample" | "unknown",
       "results": [{
         "property", "verdict", "method", "depth_checked", "reason",
@@ -27,8 +28,10 @@ and :func:`validate_proof_report` is its executable definition:
     }
 
 ``solver.clauses`` counts distinct interned expression nodes — the
-structural-sharing analogue of CNF clause count for this non-clausal
-encoding.  Every counterexample carries a full primary-input stimulus
+structural-sharing measure of the encoding's size (the dual-rail CNF
+the solver builds from them is per SAT question).  ``solver.nodes``
+counts CDCL conflicts, the unit ``config.budget`` bounds per question;
+``solver.decisions`` counts branch decisions.  Every counterexample carries a full primary-input stimulus
 (``frames[t]`` is poked before cycle ``t``) and the outcome of
 re-running it through the levelized simulator.
 """

@@ -118,8 +118,21 @@ SIGNAL u: t;
         assert report.prover.proved_conflicting == 0
 
     def test_exhausted_budget_reports_unknown(self):
+        # XOR(a, b, c, d) and XOR(d, c, b, NOT a) are complements: the
+        # guards are exclusive, but only search (several conflicts)
+        # shows it.
+        text = """
+TYPE t = COMPONENT (IN a, b, c, d: boolean; OUT y: boolean; z: multiplex) IS
+BEGIN
+    IF XOR(a, b, c, d) THEN z := 1 END;
+    IF XOR(d, c, b, NOT a) THEN z := 0 END;
+    y := a
+END;
+SIGNAL u: t;
+"""
+        assert lint_of(text).prover.proved_exclusive == 1
         config = LintConfig(prover_budget=1)
-        report = lint_of(conflict_program(3), config)
+        report = lint_of(text, config)
         assert report.prover.unknown == 1
         assert "driver-unproved" in rules_of(report)
         # UNKNOWN is a warning, not an error: runtime stays the oracle.
