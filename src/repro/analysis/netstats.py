@@ -8,21 +8,26 @@ is the critical path, which inputs feed a given signal.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
-from ..core.checker import dependency_graph, topological_order
+from ..core.checker import feedback_loop_message
 from ..core.netlist import Net, Netlist
-from ..timing.graph import propagate_levels
+from ..core.view import ClassView
+from ..lang.errors import CheckError
+
+
+def _levels(view: ClassView) -> dict[int, int]:
+    if view.levels is None:
+        raise CheckError(feedback_loop_message(view))
+    canon = view.canon_ids
+    return {canon[ci]: level for ci, level in view.levels.items()}
 
 
 def logic_levels(netlist: Netlist) -> dict[int, int]:
-    """Unit-delay level per canonical net id: sources (inputs, register
-    outputs, constants) are level 0; every edge adds one.  Delegates to
-    the shared timing-engine propagation (:mod:`repro.timing.graph`) —
-    one levelization implementation for netstats, lint and STA."""
-    order = topological_order(netlist)
-    deps = dependency_graph(netlist)
-    return propagate_levels(order, deps)
+    """Unit-delay level per canonical net id, in topological order:
+    sources (inputs, register outputs, constants) are level 0; every
+    edge adds one.  Raises :class:`CheckError` on a combinational
+    cycle.  The levels are the view's (:attr:`ClassView.levels`), so
+    netstats, lint and STA share one levelization."""
+    return _levels(ClassView(netlist))
 
 
 def logic_depth(netlist: Netlist) -> int:
@@ -33,10 +38,11 @@ def logic_depth(netlist: Netlist) -> int:
 
 def critical_path(netlist: Netlist) -> list[str]:
     """Net names along one deepest combinational path, source first."""
-    levels = logic_levels(netlist)
+    view = ClassView(netlist)
+    levels = _levels(view)
     if not levels:
         return []
-    deps = dependency_graph(netlist)
+    deps = view.net_deps
     node = max(levels, key=lambda nid: levels[nid])
     path = [node]
     while levels[node] > 0:
@@ -49,21 +55,9 @@ def critical_path(netlist: Netlist) -> list[str]:
 def fanout(netlist: Netlist) -> dict[int, int]:
     """Consumers per canonical net id (gate inputs + connection sources
     + guards + register data inputs)."""
-    find = netlist.find
-    counts: dict[int, int] = defaultdict(int)
-    for gate in netlist.gates:
-        for inp in gate.inputs:
-            counts[find(inp).id] += 1
-    for conn in netlist.conns:
-        counts[find(conn.src).id] += 1
-        if conn.cond is not None:
-            counts[find(conn.cond).id] += 1
-    for cc in netlist.const_conns:
-        if cc.cond is not None:
-            counts[find(cc.cond).id] += 1
-    for reg in netlist.regs:
-        counts[find(reg.d).id] += 1
-    return dict(counts)
+    view = ClassView(netlist)
+    canon = view.canon_ids
+    return {canon[ci]: count for ci, count in view.fanout.items()}
 
 
 def max_fanout(netlist: Netlist) -> tuple[str, int]:
@@ -78,9 +72,8 @@ def max_fanout(netlist: Netlist) -> tuple[str, int]:
 def cone_of_influence(netlist: Netlist, net: Net) -> set[str]:
     """Names of all nets the given net transitively depends on
     (combinationally; REG outputs terminate the cone)."""
-    deps = dependency_graph(netlist)
-    find = netlist.find
-    start = find(net).id
+    deps = ClassView(netlist).net_deps
+    start = netlist.find(net).id
     seen = {start}
     stack = [start]
     while stack:

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.elaborate import Design
-from ..core.netlist import Net
 from ..core.types import BOOLEAN
 from ..core.values import GATE_FUNCTIONS, Logic
+from ..core.view import ClassView
 
 
 @dataclass
@@ -47,13 +47,9 @@ class UncheckedSimulator:
         self.netlist = design.netlist
         self.sweeps = sweeps
         self.rng = random.Random(seed)
-        find = self.netlist.find
-        nets = self.netlist.nets
-        self._canon = [find(n).id for n in nets]
-        canon_ids = sorted(set(self._canon))
-        self._index = {cid: i for i, cid in enumerate(canon_ids)}
-        n = len(canon_ids)
-        self.values: list[Logic] = [Logic.UNDEF] * n
+        view = ClassView(design)
+        self._idx = view.idx
+        self.values: list[Logic] = [Logic.UNDEF] * view.n
 
         # Program: gates and connections interleaved in creation order
         # (approximated by concatenation -- the textual order of a naive
@@ -92,9 +88,6 @@ class UncheckedSimulator:
         self.cycle = 0
         #: Work counter: statement executions.
         self.executions = 0
-
-    def _idx(self, net: Net) -> int:
-        return self._index[self._canon[net.id]]
 
     # -- mirror of the Simulator poke/peek API -----------------------------
 

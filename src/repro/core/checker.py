@@ -20,95 +20,21 @@ semantics graph:
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from dataclasses import dataclass
+from collections import Counter, defaultdict
 
 from ..lang.errors import CheckError, DiagnosticSink
-from ..lang.source import NO_SPAN
 from .elaborate import Design
-from .netlist import Net, Netlist
+from .netlist import Net
 from .types import BOOLEAN
+from .view import ClassView
 
 
-@dataclass
-class _NetFacts:
-    uncond: int = 0
-    cond: int = 0
-    has_uncond_conn: bool = False  # a ':=' (not const) unconditional driver
-
-
-def dependency_graph(netlist: Netlist) -> dict[int, set[int]]:
-    """Combinational dependency edges over canonical net ids:
-    ``deps[dst]`` is the set of canonical nets *dst* depends on.
-    Gate outputs depend on gate inputs; connection targets depend on the
-    source and the guard; REG introduces no edges."""
-    deps: dict[int, set[int]] = defaultdict(set)
-    find = netlist.find
-    for gate in netlist.gates:
-        out = find(gate.output).id
-        for inp in gate.inputs:
-            deps[out].add(find(inp).id)
-    for conn in netlist.conns:
-        dst = find(conn.dst).id
-        deps[dst].add(find(conn.src).id)
-        if conn.cond is not None:
-            deps[dst].add(find(conn.cond).id)
-    for cc in netlist.const_conns:
-        if cc.cond is not None:
-            deps[find(cc.dst).id].add(find(cc.cond).id)
-    return deps
-
-
-def topological_order(netlist: Netlist) -> list[int]:
-    """Kahn topological order of canonical net ids; raises
-    :class:`CheckError` naming a cycle if one exists."""
-    deps = dependency_graph(netlist)
-    canon_ids = {netlist.find(n).id for n in netlist.nets}
-    indegree = {nid: 0 for nid in canon_ids}
-    fanout: dict[int, list[int]] = defaultdict(list)
-    for dst, srcs in deps.items():
-        for src in srcs:
-            fanout[src].append(dst)
-            indegree[dst] += 1
-    queue = deque(nid for nid, deg in indegree.items() if deg == 0)
-    order: list[int] = []
-    while queue:
-        nid = queue.popleft()
-        order.append(nid)
-        for nxt in fanout[nid]:
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                queue.append(nxt)
-    if len(order) != len(canon_ids):
-        cycle = _find_cycle(deps, {nid for nid, d in indegree.items() if d > 0})
-        names = " -> ".join(netlist.nets[nid].name for nid in cycle)
-        raise CheckError(
-            f"combinational feedback loop (not through a register): {names}"
-        )
-    return order
-
-
-def _find_cycle(deps: dict[int, set[int]], remaining: set[int]) -> list[int]:
-    start = next(iter(remaining))
-    path: list[int] = []
-    seen: dict[int, int] = {}
-    node = start
-    while node not in seen:
-        seen[node] = len(path)
-        path.append(node)
-        nxt = [d for d in deps.get(node, ()) if d in remaining]
-        if not nxt:
-            # Restart from another stuck node (shouldn't happen: every
-            # remaining node has a remaining predecessor).
-            remaining = remaining - set(path)
-            if not remaining:
-                return path
-            node = next(iter(remaining))
-            path.clear()
-            seen.clear()
-            continue
-        node = nxt[0]
-    return path[seen[node] :] + [node]
+def feedback_loop_message(view: ClassView) -> str:
+    """The acyclicity error for *view*'s combinational cycle, naming
+    each class by its canonical net."""
+    nets = view.netlist.nets
+    names = " -> ".join(nets[view.canon_ids[ci]].name for ci in view.cycle)
+    return f"combinational feedback loop (not through a register): {names}"
 
 
 class Checker:
@@ -117,6 +43,7 @@ class Checker:
     def __init__(self, design: Design):
         self.design = design
         self.netlist = design.netlist
+        self.view = ClassView(design)
         self.sink = DiagnosticSink(source=design.source)
 
     def run(self) -> DiagnosticSink:
@@ -130,61 +57,41 @@ class Checker:
     # -- acyclicity -----------------------------------------------------
 
     def check_acyclic(self) -> None:
-        try:
-            topological_order(self.netlist)
-        except CheckError as exc:
-            self.sink.error(str(exc), exc.span, phase="check")
+        if self.view.cycle:
+            self.sink.error(feedback_loop_message(self.view), phase="check")
 
     # -- section 4.7 counting rules ---------------------------------------
 
-    def _net_facts(self) -> dict[int, _NetFacts]:
-        find = self.netlist.find
-        facts: dict[int, _NetFacts] = defaultdict(_NetFacts)
-        for conn in self.netlist.unique_conns():
-            f = facts[find(conn.dst).id]
-            if conn.cond is None:
-                f.uncond += 1
-                f.has_uncond_conn = True
-            else:
-                f.cond += 1
-        for cc in self.netlist.unique_const_conns():
-            f = facts[find(cc.dst).id]
-            if cc.cond is None:
-                f.uncond += 1
-            else:
-                f.cond += 1
-        return facts
-
     def check_assignment_rules(self) -> None:
-        find = self.netlist.find
-        facts = self._net_facts()
-        # Aggregate per-class membership to evaluate the aliasing rules.
-        classes: dict[int, list[Net]] = defaultdict(list)
-        for net in self.netlist.nets:
-            classes[find(net).id].append(net)
-        for canon_id, f in facts.items():
-            canon = self.netlist.nets[canon_id]
-            members = classes[canon_id]
-            display = min((m.name for m in members if not m.name.startswith("$")),
-                          default=canon.name)
-            if f.uncond > 1:
+        view = self.view
+        # Classes in the order their first driver appears.
+        for ci in dict.fromkeys(drv.dst for drv in view.drivers):
+            drivers = view.drivers_of[ci]
+            uncond = sum(drv.cond is None for drv in drivers)
+            cond = len(drivers) - uncond
+            canon = self.netlist.nets[view.canon_ids[ci]]
+            members = view.members[ci]
+            display = view.display[ci]
+            if uncond > 1:
                 self.sink.error(
-                    f"signal {display!r} has {f.uncond} unconditional "
+                    f"signal {display!r} has {uncond} unconditional "
                     "assignments (exactly one is allowed; this could connect "
                     "power to ground)",
                     canon.span,
                     phase="check",
                 )
-            if f.uncond >= 1 and f.cond >= 1:
+            if uncond >= 1 and cond >= 1:
                 self.sink.error(
                     f"signal {display!r} is assigned both conditionally and "
                     "unconditionally (section 4.7)",
                     canon.span,
                     phase="check",
                 )
-            if f.cond >= 1:
+            if cond >= 1:
                 self._check_conditional_boolean(members, display)
-            if len(members) > 1 and f.has_uncond_conn:
+            if len(members) > 1 and any(
+                drv.cond is None and drv.src is not None for drv in drivers
+            ):
                 booleans = [m for m in members if m.kind == BOOLEAN]
                 if booleans:
                     self.sink.error(
@@ -241,7 +148,7 @@ class Checker:
     def check_sequential_constraints(self) -> None:
         if not self.design.seq_constraints:
             return
-        deps = dependency_graph(self.netlist)
+        deps = self.view.net_deps
         find = self.netlist.find
         for earlier, later in self.design.seq_constraints:
             earlier_ids = {find(n).id for n in earlier}
@@ -281,23 +188,17 @@ class Checker:
     # -- warnings -----------------------------------------------------------
 
     def warn_undriven(self) -> None:
-        find = self.netlist.find
-        driven = {find(c.dst).id for c in self.netlist.conns}
-        driven |= {find(c.dst).id for c in self.netlist.const_conns}
-        driven |= {find(g.output).id for g in self.netlist.gates}
-        driven |= {find(r.q).id for r in self.netlist.regs}
-        read: set[int] = set()
-        for g in self.netlist.gates:
-            read |= {find(i).id for i in g.inputs}
-        for c in self.netlist.conns:
-            read.add(find(c.src).id)
-            if c.cond is not None:
-                read.add(find(c.cond).id)
-        for r in self.netlist.regs:
-            read.add(find(r.d).id)
-        inputs = {find(n).id for n in self.netlist.nets if n.is_input}
-        for nid in sorted(read - driven - inputs):
-            net = self.netlist.nets[nid]
+        view = self.view
+        # The view's fan-out counts a constant driver's guard as a read;
+        # this warning never has.
+        const_guards = Counter(
+            view.idx(cc.cond) for cc in self.netlist.const_conns
+            if cc.cond is not None
+        )
+        read = {ci for ci, n in view.fanout.items() if n > const_guards[ci]}
+        inputs = {ci for ci in range(view.n) if view.is_input[ci]}
+        for ci in sorted(read - view.driven - inputs):
+            net = self.netlist.nets[view.canon_ids[ci]]
             self.sink.warning(
                 f"signal {net.name!r} is read but never assigned; it will be "
                 f"{'NOINFL' if net.kind != BOOLEAN else 'UNDEF'}",
@@ -311,12 +212,10 @@ class Checker:
         framework's write-only pass so the checker and ``zeusc lint``
         agree on the exclusions (ports, ``==``-alias dedup, synthetic
         nets)."""
-        from ..lint.context import LintContext
         from ..lint.model import LintConfig
         from ..lint.passes import write_only_pass
 
-        ctx = LintContext(self.design)
-        for finding in write_only_pass(ctx, LintConfig()):
+        for finding in write_only_pass(self.view, LintConfig()):
             self.sink.warning(finding.message, finding.span, phase="check")
 
 

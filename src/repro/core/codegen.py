@@ -451,8 +451,11 @@ class _Emitter:
             if not first:
                 self.emit(f"cl = dv & dr", depth + 1)
                 self.emit("if cl:", depth + 1)
+                # A lane that already conflicted holds UNDEF, so that
+                # is the prior value it reports, as the scalar engines do.
                 self.emit(
-                    f"conflict({dst}, cl, ac0, ac1, {d0}, {d1})", depth + 2
+                    f"conflict({dst}, cl, ac0 | cf, ac1 | cf, {d0}, {d1})",
+                    depth + 2,
                 )
                 self.emit("cf = cf | cl", depth + 2)
             self.emit(f"ac0 = ac0 | {d0}", depth + 1)

@@ -8,8 +8,9 @@ six scratch arrays reallocated every cycle -- is pure overhead: every net
 class fires exactly once per cycle, in any topological order of the
 REG-cut graph.
 
-This module compiles the simulator's indexed netlist view into a
-:class:`Schedule`: a flat, static evaluation order computed once at
+This module compiles the simulator's alias-class view
+(:class:`~repro.core.view.ClassView`) into a :class:`Schedule`: a flat,
+static evaluation order computed once at
 :class:`~repro.core.simulator.Simulator` construction.  A cycle is then
 one pass over that schedule -- no queue, no watch lists, no per-cycle
 allocation.  The approach is the classic levelized compiled-code
@@ -60,6 +61,13 @@ OPC_SET = 11    # (OPC_SET, out, value): source op, precomputed constant
 
 _NARY_CODES = {"AND": OPC_AND, "OR": OPC_OR, "NAND": OPC_NAND,
                "NOR": OPC_NOR, "XOR": OPC_XOR}
+
+
+#: Producer kinds in the order the view's producer table lists them,
+#: and how a clash names them.
+_CLAIM_ORDER = {"input": 0, "register": 1, "gate": 2, "drivers": 3}
+_PRODUCER_LABEL = {"input": "input default", "register": "register output",
+                   "gate": "gate output", "drivers": "connection drivers"}
 
 
 class ScheduleError(Exception):
@@ -115,46 +123,34 @@ class Schedule:
 
 
 def build_schedule(sim: "Simulator") -> Schedule:
-    """Compile *sim*'s indexed netlist view into a :class:`Schedule`.
+    """Compile *sim*'s alias-class view into a :class:`Schedule`.
 
     Raises :class:`ScheduleError` when the REG-cut graph has a
     combinational cycle or when an alias class has more than one
     producer (the only situations where dataflow firing order matters).
     """
-    n = len(sim._canon_ids)
-    display = sim._display
-    drivers = sim._drivers
-    drivers_of = sim._drivers_of
+    view = sim.view
+    n = view.n
+    display = view.display
+    drivers_of = view.drivers_of
     gates = sim._gates
     gate_in = sim._gate_in
     gate_out = sim._gate_out
 
     # -- every class must have exactly one producer --------------------
-    producer: list[str | None] = [None] * n
-
-    def claim(i: int, kind: str) -> None:
-        if producer[i] is not None:
-            raise ScheduleError(
-                f"net {display[i]!r} has two producers ({producer[i]} and "
-                f"{kind}); the firing order would decide its value"
-            )
-        producer[i] = kind
-
-    for i in sim._free:
-        claim(i, "free default")
-    for i in range(n):
-        if sim._is_input[i] and not drivers_of[i]:
-            claim(i, "input default")
-    for ri, qi in enumerate(sim._reg_q):
-        claim(qi, "register output")
-    for gi, out in enumerate(gate_out):
-        claim(out, "gate output")
-    for ci in range(n):
-        if drivers_of[ci]:
-            claim(ci, "connection drivers")
-    for i in range(n):
-        if producer[i] is None:  # pragma: no cover - defensive
-            raise ScheduleError(f"net {display[i]!r} has no producer")
+    # Name the clash a claim pass in table order (inputs, registers,
+    # gates, drivers) would hit first: the earliest second producer.
+    producers = view.producers()
+    clashes = [(_CLAIM_ORDER[prod[1][0]], prod[1][1], ci)
+               for ci, prod in enumerate(producers) if len(prod) > 1]
+    if clashes:
+        ci = min(clashes)[2]
+        first, second = (_PRODUCER_LABEL[kind]
+                         for kind, _ in producers[ci][:2])
+        raise ScheduleError(
+            f"net {display[ci]!r} has two producers ({first} and "
+            f"{second}); the firing order would decide its value"
+        )
 
     # -- dependency nodes: gates with inputs, and driven classes -------
     node_of: list[int | None] = [None] * n
@@ -183,8 +179,7 @@ def build_schedule(sim: "Simulator") -> Schedule:
             for i in gate_in[idx]:
                 add_edge(i, node)
         else:
-            for di in drivers_of[idx]:
-                drv = drivers[di]
+            for drv in drivers_of[idx]:
                 if drv.cond is not None:
                     add_edge(drv.cond, node)
                 if drv.src is not None:
@@ -211,15 +206,11 @@ def build_schedule(sim: "Simulator") -> Schedule:
     sched = Schedule()
     sched.n = n
     sched.none_row = [None] * n
-    sched.free_nets = list(sim._free)
-    sched.input_defaults = [
-        (i, Logic.ZERO if display[i] in ("RSET", "CLK") else Logic.UNDEF)
-        for i in range(n)
-        if sim._is_input[i] and not drivers_of[i]
-    ]
+    sched.free_nets = list(view.free)
+    sched.input_defaults = list(view.input_defaults)
     sched.reg_pairs = list(enumerate(sim._reg_q))
     sched.n_gates = len(gates)
-    sched.n_drivers = len(drivers)
+    sched.n_drivers = len(view.drivers)
     sched.gate_ids = list(range(len(gates)))
 
     for gi, ins in enumerate(gate_in):
@@ -254,7 +245,7 @@ def build_schedule(sim: "Simulator") -> Schedule:
             ci = idx
             ds = drivers_of[ci]
             if len(ds) == 1:
-                drv = drivers[ds[0]]
+                drv = ds[0]
                 if drv.cond is None:
                     if drv.const is None:
                         ops.append((OPC_COPY, ci, drv.src))
@@ -267,7 +258,7 @@ def build_schedule(sim: "Simulator") -> Schedule:
                     drv.src if drv.src is not None else -1,
                     drv.const,
                 )
-                for drv in (drivers[di] for di in ds)
+                for drv in ds
             )
             ops.append((OPC_CLASS, ci, spec))
     return sched

@@ -48,6 +48,7 @@ from .schedule import Schedule, ScheduleError, build_schedule
 from .schedule import execute as _execute_schedule
 from .types import BOOLEAN
 from .values import Logic
+from .view import ClassView, DriverInfo
 
 #: Valid values for the ``engine=`` knob.
 ENGINES = ("auto", "levelized", "dataflow", "batched", "codegen")
@@ -74,16 +75,6 @@ class Violation:
         if self.lane is not None:
             where += f" lane {self.lane}"
         return f"{where}: signal {self.net!r} driven by [{vals}]"
-
-
-class _Driver:
-    __slots__ = ("cond", "src", "const", "dst")
-
-    def __init__(self, dst: int, cond: int | None, src: int | None, const: Logic | None):
-        self.dst = dst
-        self.cond = cond
-        self.src = src
-        self.const = const
 
 
 class Simulator:
@@ -139,52 +130,26 @@ class Simulator:
         self.violations: list[Violation] = []
         self.cycle = 0
 
-        find = self.netlist.find
-        nets = self.netlist.nets
-        self._canon = [find(n).id for n in nets]
-        canon_ids = sorted(set(self._canon))
-        self._index = {cid: i for i, cid in enumerate(canon_ids)}
-        self._canon_ids = canon_ids
-        n = len(canon_ids)
+        view = ClassView(self.netlist)
+        #: the alias-class view the engines and the schedule read.
+        self.view = view
+        self._idx = view.idx
+        n = view.n
 
-        # Class metadata.
-        self._members: list[list[Net]] = [[] for _ in range(n)]
-        for net in nets:
-            self._members[self._index[self._canon[net.id]]].append(net)
-        self._display = [
-            min(
-                (m.name for m in ms if not m.name.startswith("$")),
-                default=ms[0].name,
-            )
-            for ms in self._members
-        ]
-        self._is_boolean = [all(m.kind == BOOLEAN for m in ms) for ms in self._members]
-        self._is_input = [any(m.is_input for m in ms) for ms in self._members]
-
-        # Drivers.
-        self._drivers: list[_Driver] = []
-        self._drivers_of: list[list[int]] = [[] for _ in range(n)]
+        # Dataflow watch lists over the view's drivers, in their global
+        # order (the oracle fires unconditional constants in it).
         self._cond_watch: dict[int, list[int]] = {}
         self._src_watch: dict[int, list[int]] = {}
-        for conn in self.netlist.unique_conns():
-            self._add_driver(
-                self._idx(conn.dst),
-                self._idx(conn.cond) if conn.cond is not None else None,
-                self._idx(conn.src),
-                None,
-            )
-        for cc in self.netlist.unique_const_conns():
-            self._add_driver(
-                self._idx(cc.dst),
-                self._idx(cc.cond) if cc.cond is not None else None,
-                None,
-                cc.value,
-            )
+        for di, drv in enumerate(view.drivers):
+            if drv.cond is not None:
+                self._cond_watch.setdefault(drv.cond, []).append(di)
+            if drv.src is not None:
+                self._src_watch.setdefault(drv.src, []).append(di)
 
         # Gates.
         self._gates: list[Gate] = self.netlist.gates
-        self._gate_out = [self._idx(g.output) for g in self._gates]
-        self._gate_in = [[self._idx(i) for i in g.inputs] for g in self._gates]
+        self._gate_out = [view.idx(g.output) for g in self._gates]
+        self._gate_in = [[view.idx(i) for i in g.inputs] for g in self._gates]
         self._gate_watch: dict[int, list[int]] = {}
         for gi, ins in enumerate(self._gate_in):
             for i in ins:
@@ -192,23 +157,9 @@ class Simulator:
         self._has_random = any(g.op == "RANDOM" for g in self._gates)
 
         # Registers.
-        self._reg_d = [self._idx(r.d) for r in self.netlist.regs]
-        self._reg_q = [self._idx(r.q) for r in self.netlist.regs]
+        self._reg_d = [view.idx(r.d) for r in self.netlist.regs]
+        self._reg_q = [view.idx(r.q) for r in self.netlist.regs]
         self._reg_state: list[Logic] = [Logic.UNDEF] * len(self.netlist.regs)
-        reg_q_set = set(self._reg_q)
-        self._is_reg_q = [i in reg_q_set for i in range(n)]
-
-        # Free nets: no drivers, not an input, not a reg output, not a
-        # gate output -- they fire a default at cycle start.
-        gate_out_set = set(self._gate_out)
-        self._free = [
-            i
-            for i in range(n)
-            if not self._drivers_of[i]
-            and not self._is_input[i]
-            and not self._is_reg_q[i]
-            and i not in gate_out_set
-        ]
 
         self._pokes: dict[int, Logic] = {}
         self.values: list[Logic | None] = [None] * n
@@ -218,11 +169,11 @@ class Simulator:
         # Activity metrics (repro.obs).  ``record_firing=True`` is the
         # legacy spelling: metrics plus the ordered firing-event log.
         gate_labels = [
-            f"{g.op}->{self._display[self._gate_out[gi]]}"
+            f"{g.op}->{view.display[self._gate_out[gi]]}"
             for gi, g in enumerate(self._gates)
         ]
         self.metrics = SimMetrics(
-            list(self._display),
+            list(view.display),
             gate_labels,
             enabled=metrics or record_firing,
             keep_firing_log=record_firing,
@@ -342,22 +293,6 @@ class Simulator:
         """Ordered ``(display_name, value)`` firing events (legacy view
         of ``self.metrics.firing_log``)."""
         return self.metrics.firing_log
-
-    # -- construction helpers ------------------------------------------------
-
-    def _idx(self, net: Net) -> int:
-        return self._index[self._canon[net.id]]
-
-    def _add_driver(
-        self, dst: int, cond: int | None, src: int | None, const: Logic | None
-    ) -> None:
-        di = len(self._drivers)
-        self._drivers.append(_Driver(dst, cond, src, const))
-        self._drivers_of[dst].append(di)
-        if cond is not None:
-            self._cond_watch.setdefault(cond, []).append(di)
-        if src is not None:
-            self._src_watch.setdefault(src, []).append(di)
 
     # -- path resolution ------------------------------------------------------
 
@@ -859,7 +794,7 @@ class Simulator:
         register state, and rng (seed + lane), exactly reproducing an
         independent scalar run; results are packed back into planes."""
         m = self.metrics
-        n = len(self._canon_ids)
+        n = self.view.n
         out0 = [0] * n
         out1 = [0] * n
         saved_rng = self.rng
@@ -981,7 +916,7 @@ class Simulator:
         if m.keep_firing_log:
             # Levelized firing order is schedule order, not dataflow
             # propagation order (engine="auto" keeps dataflow instead).
-            display = self._display
+            display = self.view.display
             log = m.firing_log
             for i, v in enumerate(self.values):
                 if v is not None:
@@ -990,13 +925,13 @@ class Simulator:
     def _evaluate_dataflow(self) -> None:
         """The dataflow firing-rule engine (the semantics oracle)."""
         self._metrics_on = self.metrics.enabled
-        n = len(self._canon_ids)
+        n = self.view.n
         self.values = [None] * n
         self._contrib_count = [0] * n
         self._driving: list[Logic | None] = [None] * n
         self._conflicted = [False] * n
         self._maybe_count = [0] * n
-        self._driver_done = [False] * len(self._drivers)
+        self._driver_done = [False] * len(self.view.drivers)
         self._gate_done = [False] * len(self._gates)
         self._extra_driver = [0] * n
         self._queue: list[int] = []
@@ -1006,11 +941,11 @@ class Simulator:
             self._extra_driver[i] = 1
 
         # Initial firings.
-        for i in self._free:
+        view = self.view
+        for i in view.free:
             self._fire(i, Logic.NOINFL)
-        for i in range(n):
-            if self._is_input[i] and not self._drivers_of[i]:
-                self._fire(i, self._input_default(i))
+        for i, default in view.input_defaults:
+            self._fire(i, self._pokes.get(i, default))
         for ri, qi in enumerate(self._reg_q):
             self._fire(qi, self._reg_state[ri])
         for gi, ins in enumerate(self._gate_in):
@@ -1018,9 +953,9 @@ class Simulator:
                 self._try_gate(gi)
         # Inputs that also have internal drivers (INOUT): contribute.
         for i, v in list(self._pokes.items()):
-            if self._drivers_of[i] and self.values[i] is None:
+            if view.drivers_of[i] and self.values[i] is None:
                 self._contribute(i, v)
-        for di, drv in enumerate(self._drivers):
+        for di, drv in enumerate(view.drivers):
             if drv.cond is None and drv.const is not None:
                 self._try_driver(di)
 
@@ -1041,14 +976,6 @@ class Simulator:
             if self.values[i] is None:
                 self.values[i] = Logic.UNDEF
 
-    def _input_default(self, i: int) -> Logic:
-        if i in self._pokes:
-            return self._pokes[i]
-        name = self._display[i]
-        if name in ("RSET", "CLK"):
-            return Logic.ZERO
-        return Logic.UNDEF
-
     def _fire(self, i: int, value: Logic) -> None:
         if self.values[i] is not None:
             return
@@ -1061,7 +988,7 @@ class Simulator:
             if prev is not None and value is not prev:
                 m.net_toggles[i] += 1
             if m.keep_firing_log:
-                m.firing_log.append((self._display[i], value))
+                m.firing_log.append((self.view.display[i], value))
         self._queue.append(i)
 
     def _try_gate(self, gi: int) -> None:
@@ -1090,7 +1017,7 @@ class Simulator:
             self.metrics.driver_evals += 1
         if self._driver_done[di]:
             return
-        drv = self._drivers[di]
+        drv = self.view.drivers[di]
         if drv.cond is not None:
             cv = self.values[drv.cond]
             if cv is None:
@@ -1119,7 +1046,7 @@ class Simulator:
         self._driver_done[di] = True
         self._contribute(drv.dst, contribution, maybe)
 
-    def _source_value(self, drv: _Driver) -> Logic | None:
+    def _source_value(self, drv: DriverInfo) -> Logic | None:
         if drv.const is not None:
             return drv.const
         assert drv.src is not None
@@ -1135,8 +1062,8 @@ class Simulator:
                 self._driving[dst] = value
             else:
                 self._multi_drive(dst, [prior, value])
-        total = len(self._drivers_of[dst]) + self._extra_driver[dst]
-        if self._is_boolean[dst] and total == 1 and not maybe:
+        total = len(self.view.drivers_of[dst]) + self._extra_driver[dst]
+        if self.view.is_boolean[dst] and total == 1 and not maybe:
             # Boolean firing rule: a single-driver boolean signal fires
             # as soon as its value arrives (the common case; signals with
             # several conditional drivers wait so maybe-drives resolve).
@@ -1167,7 +1094,7 @@ class Simulator:
         lane (UNDEF resolution is applied by the caller's plane algebra).
         In strict mode the lowest conflicted lane raises."""
         mon = self._metrics_on
-        name = self._display[dst]
+        name = self.view.display[dst]
         m = lanes_mask
         while m:
             low = m & -m
@@ -1192,14 +1119,14 @@ class Simulator:
 
     def _record_violation(self, dst: int, values: list[Logic]) -> None:
         self.violations.append(
-            Violation(self.cycle, self._display[dst], values)
+            Violation(self.cycle, self.view.display[dst], values)
         )
         if self._metrics_on:
             self.metrics.violations += 1
         if self.strict:
             raise SimulationError(
                 f"multiple (0,1,UNDEF) assignments to signal "
-                f"{self._display[dst]!r} in cycle {self.cycle} "
+                f"{self.view.display[dst]!r} in cycle {self.cycle} "
                 "(this would burn transistors)",
             )
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.view import ClassView
 from .encode import EncodeError, Encoder, input_groups, out_ports
 from .replay import replay_property
 from .report import Counterexample, ProofReport, PropertyResult
@@ -147,10 +148,8 @@ def prove(circuit, properties: list[str] | None = None,
 
 def _prove_into(circuit, props: list[str], cfg: FormalConfig,
                 report: ProofReport) -> None:
-    from ..lint.context import LintContext
-
     stats = report.stats
-    ctx = LintContext(circuit.design)
+    ctx = ClassView(circuit.design)
     factory = ExprFactory()
     try:
         enc = Encoder(ctx, factory, init="undef", max_nodes=cfg.max_nodes)

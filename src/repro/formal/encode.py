@@ -1,7 +1,7 @@
 """Frame-indexed encoding of the elaborated semantics graph.
 
 :class:`Encoder` turns the REG-cut semantics graph (as exposed by
-:class:`repro.lint.context.LintContext`) into solver expressions: one
+:class:`repro.core.view.ClassView`) into solver expressions: one
 expression per (net class, frame).  A *frame* is one clock cycle of the
 unrolled transition relation:
 
@@ -45,10 +45,10 @@ class EncodeError(Exception):
 class Encoder:
     """Builds per-frame expressions for net classes of one design.
 
-    ``ctx`` is duck-typed with the :class:`LintContext` surface.  The
-    ``input_key`` / ``rand_key`` / ``reg_key`` hooks let the
-    equivalence checker rename variables so both sides of a miter draw
-    the same primary inputs.
+    ``ctx`` is duck-typed with the :class:`~repro.core.view.ClassView`
+    surface.  The ``input_key`` / ``rand_key`` / ``reg_key`` hooks let
+    the equivalence checker rename variables so both sides of a miter
+    draw the same primary inputs.
     """
 
     def __init__(self, ctx, factory: ExprFactory | None = None, *,

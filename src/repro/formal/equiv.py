@@ -27,6 +27,7 @@ trees) instead of sampling them.
 
 from __future__ import annotations
 
+from ..core.view import ClassView
 from .bmc import FormalConfig, _induction_loop, _reg_domains
 from .encode import EncodeError, Encoder
 from .replay import replay_equiv
@@ -127,10 +128,8 @@ def check_equivalence(a, b,
 
 
 def _equiv_into(a, b, cfg: FormalConfig, report: ProofReport) -> None:
-    from ..lint.context import LintContext
-
     stats = report.stats
-    ctx_a, ctx_b = LintContext(a.design), LintContext(b.design)
+    ctx_a, ctx_b = ClassView(a.design), ClassView(b.design)
     ins_a, ins_b, outs_a, outs_b = _match_interfaces(ctx_a, ctx_b)
     out_names = sorted(outs_a)
     factory = ExprFactory()

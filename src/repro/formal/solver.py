@@ -461,7 +461,7 @@ class ConeBuilder:
     (multi-driven, cyclic, or oversized cones).
 
     ``ctx`` is duck-typed (any object with the
-    :class:`repro.lint.context.LintContext` surface: ``is_input``,
+    :class:`repro.core.view.ClassView` surface: ``is_input``,
     ``reg_q_of``, ``gates_of``, ``drivers_of``, ``idx``)."""
 
     def __init__(self, ctx, max_nodes: int = 5000):
@@ -614,7 +614,7 @@ def _is_state(key) -> bool:
     return key[0] in ("rand", "reg")
 
 
-def solve(targets, blockers=(), support=(), *, budget: int = 20_000,
+def solve(targets, blockers=(), *, budget: int = 20_000,
           domains: dict | None = None,
           stats: SolverStats | None = None) -> Sat | Unsat | Unknown:
     """Search for an assignment under which every *target* evaluates to
@@ -629,8 +629,7 @@ def solve(targets, blockers=(), support=(), *, budget: int = 20_000,
     runtime behaviour (see the module docstring).  *blockers* make
     k-induction expressible: "no bad state in frames 0..k-1 (blockers),
     bad in frame k (target)".  The variables are read off the
-    expressions; *support* names the ones the caller expects and
-    orders nothing.
+    expressions.
     """
     targets = tuple(targets)
     blockers = tuple(blockers)
@@ -658,11 +657,11 @@ def solve(targets, blockers=(), support=(), *, budget: int = 20_000,
     return Sat(_cdcl.minimize(asn, targets, blockers, _is_state))
 
 
-def cosat(ga: tuple, gb: tuple, support, *, budget: int = 20_000,
+def cosat(ga: tuple, gb: tuple, *, budget: int = 20_000,
           stats: SolverStats | None = None) -> Sat | Unsat | Unknown:
     """Search for an assignment with ``ga = gb = 1`` (the PR-3 prover's
     co-satisfiability question, kept as the lint-facing entry point)."""
-    return solve((ga, gb), support=support, budget=budget, stats=stats)
+    return solve((ga, gb), budget=budget, stats=stats)
 
 
 # The search builds on the evaluator and node traversal defined above.

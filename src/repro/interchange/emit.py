@@ -1,9 +1,9 @@
 """Structural-Verilog emitter over the elaborated REG-cut netlist.
 
-The emitter walks the semantics graph the same way the simulator does --
-one *alias class* (union-find canonical net) at a time -- and encodes it
-in the flat structural subset :mod:`repro.interchange.vparse` reads
-back:
+The emitter walks the semantics graph through the simulator's
+:class:`~repro.core.view.ClassView` -- one *alias class* (union-find
+canonical net) at a time -- and encodes it in the flat structural
+subset :mod:`repro.interchange.vparse` reads back:
 
 ===========================  =========================================
 Zeus construct               Verilog encoding
@@ -43,8 +43,8 @@ unsupported-construct report (see :mod:`repro.interchange.manifest`).
 from __future__ import annotations
 
 from ..core.netlist import Netlist
-from ..core.types import BOOLEAN
 from ..core.values import NETLIST_GATE_FUNCTIONS, Logic
+from ..core.view import ZERO_DEFAULT_INPUTS, ClassView
 from ..lang.errors import InterchangeError
 from .manifest import SCHEMA, validate_manifest
 from .names import NameMangler
@@ -70,7 +70,7 @@ _MODES = {"IN": "input", "OUT": "output", "INOUT": "inout"}
 
 #: Special Zeus input nets whose display names must survive verbatim:
 #: the simulators default them to ZERO (not UNDEF) *by name*.
-SPECIAL_INPUTS = ("RSET", "CLK")
+SPECIAL_INPUTS = ZERO_DEFAULT_INPUTS
 
 ZEUS_DFF_MODULE = """\
 module zeus_dff (q, d, ck);
@@ -89,59 +89,25 @@ endmodule
 """
 
 
-class _Classes:
-    """The alias-class view of a netlist (the exact construction the
-    simulator uses, so displays and kinds line up observation for
-    observation)."""
-
-    def __init__(self, netlist: Netlist):
-        find = netlist.find
-        nets = netlist.nets
-        canon = [find(n).id for n in nets]
-        canon_ids = sorted(set(canon))
-        self.index = {cid: i for i, cid in enumerate(canon_ids)}
-        self.n = len(canon_ids)
-        self.members: list[list] = [[] for _ in range(self.n)]
-        for net in nets:
-            self.members[self.index[canon[net.id]]].append(net)
-        self.display = [
-            min(
-                (m.name for m in ms if not m.name.startswith("$")),
-                default=ms[0].name,
-            )
-            for ms in self.members
-        ]
-        self.is_boolean = [
-            all(m.kind == BOOLEAN for m in ms) for ms in self.members
-        ]
-        self.is_input = [any(m.is_input for m in ms) for ms in self.members]
-        self._find = find
-
-    def idx(self, net) -> int:
-        return self.index[self._find(net).id]
-
-
-def _audit_producers(netlist: Netlist, classes: _Classes) -> None:
+def _audit_producers(view: ClassView) -> None:
     """Reject designs whose value would depend on firing order: an
     alias class may be produced by at most one of {gate output,
     register output, connection drivers} (the schedule enforces the
     same rule, so anything rejected here cannot run on the batched
     engines either)."""
-    producers: list[list[str]] = [[] for _ in range(classes.n)]
-    for gate in netlist.gates:
-        producers[classes.idx(gate.output)].append(f"gate {gate.op}{gate.id}")
-    for reg in netlist.regs:
-        producers[classes.idx(reg.q)].append(f"register {reg.name or reg.id}")
-    driven = set()
-    for conn in netlist.unique_conns():
-        driven.add(classes.idx(conn.dst))
-    for cc in netlist.unique_const_conns():
-        driven.add(classes.idx(cc.dst))
-    for i, plist in enumerate(producers):
-        if len(plist) > 1 or (plist and i in driven):
-            kinds = plist + (["connection drivers"] if i in driven else [])
+    gates = view.netlist.gates
+    regs = view.netlist.regs
+    for i, prod in enumerate(view.producers()):
+        kinds = (
+            [f"gate {gates[k].op}{gates[k].id}" for kind, k in prod
+             if kind == "gate"]
+            + [f"register {regs[k].name or regs[k].id}" for kind, k in prod
+               if kind == "register"]
+            + ["connection drivers" for kind, _ in prod if kind == "drivers"]
+        )
+        if len(kinds) > 1:
             raise InterchangeError(
-                f"cannot emit {classes.display[i]!r}: the net has "
+                f"cannot emit {view.display[i]!r}: the net has "
                 f"multiple producers ({', '.join(kinds)}); its value "
                 "would depend on firing order and no structural "
                 "netlist can encode that"
@@ -156,8 +122,8 @@ def emit_verilog(design, *, module_name: str | None = None) -> tuple[str, dict]:
     design shapes the structural subset cannot encode.
     """
     netlist: Netlist = design.netlist
-    classes = _Classes(netlist)
-    _audit_producers(netlist, classes)
+    classes = ClassView(netlist)
+    _audit_producers(classes)
 
     mangler = NameMangler()
     prefix = f"{netlist.name}."

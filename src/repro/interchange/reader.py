@@ -36,6 +36,7 @@ from ..core.elaborate import Design
 from ..core.netlist import Net, Netlist, PortInfo
 from ..core.types import BOOLEAN, MULTIPLEX
 from ..core.values import Logic
+from ..core.view import ClassView
 from ..lang.errors import DiagnosticSink, InterchangeError
 from ..lang.source import NO_SPAN, SourceText, Span
 from .manifest import SCHEMA, validate_manifest
@@ -460,21 +461,14 @@ def import_manifest(design: Design) -> dict:
     returns, with every net mapping to itself.  Lets downstream tools
     treat emitted and imported designs uniformly."""
     netlist = design.netlist
-    find = netlist.find
-    canon: dict[int, list] = {}
-    for net in netlist.nets:
-        canon.setdefault(find(net).id, []).append(net)
-    nets = {}
-    for members in canon.values():
-        display = min(
-            (m.name for m in members if not m.name.startswith("$")),
-            default=members[0].name,
-        )
-        boolean = all(m.kind == BOOLEAN for m in members)
-        nets[display] = {
+    view = ClassView(netlist)
+    nets = {
+        display: {
             "verilog": display,
             "kind": "boolean" if boolean else "multiplex",
         }
+        for display, boolean in zip(view.display, view.is_boolean)
+    }
     manifest = {
         "schema": SCHEMA,
         "design": design.name,
@@ -483,14 +477,7 @@ def import_manifest(design: Design) -> dict:
             {
                 "name": p.name,
                 "mode": p.mode,
-                "bits": [
-                    min(
-                        (m.name for m in netlist.alias_class(n)
-                         if not m.name.startswith("$")),
-                        default=n.name,
-                    )
-                    for n in p.nets
-                ],
+                "bits": [view.display[view.idx(n)] for n in p.nets],
             }
             for p in netlist.ports
         ],

@@ -7,7 +7,8 @@ drivers it proves, per driver pair, whether both enables can be 1 in the
 same cycle -- turning the paper's runtime "burning transistors" check
 (sections 5, 8) into a compile-time verdict with a witness.  Around it,
 a registry of structural passes (:mod:`repro.lint.passes`) shares one
-:class:`~repro.lint.context.LintContext` traversal infrastructure.
+:class:`~repro.core.view.ClassView` of the semantics graph (exported
+here under its lint name, ``LintContext``).
 
 Typical use::
 
@@ -26,7 +27,7 @@ CLI: ``zeusc lint FILE --format text|json|sarif`` (see
 from __future__ import annotations
 
 from ..core.elaborate import Design
-from .context import LintContext
+from ..core.view import ClassView as LintContext
 from .model import OFF, RULES, Finding, LintConfig, Rule
 from .passes import PASSES, driver_exclusivity_pass
 from .prover import NetResult, PairVerdict, Prover, ProverResult

@@ -2,8 +2,8 @@
 
 Each pass is a function ``(ctx, config) -> list[Finding]`` registered
 together with the :class:`~repro.lint.model.Rule` objects it can emit.
-All passes share the one :class:`~repro.lint.context.LintContext`
-traversal infrastructure; none walks the netlist on its own.
+All passes share the one :class:`~repro.core.view.ClassView` of the
+design; none walks the netlist on its own.
 
 The registry order is the report order: the prover first (it is the
 headline check), then the structural passes.
@@ -15,8 +15,8 @@ import re
 from typing import Callable
 
 from ..core.values import Logic
+from ..core.view import ClassView
 from ..lang.errors import Severity
-from .context import LintContext
 from .model import Finding, LintConfig, Rule, register_rule
 from .prover import Prover, ProverResult, eval_expr
 
@@ -62,7 +62,7 @@ DEPTH_LIMIT = register_rule(Rule(
 # -- the prover pass ---------------------------------------------------------
 
 def driver_exclusivity_pass(
-    ctx: LintContext, config: LintConfig,
+    ctx: ClassView, config: LintConfig,
     result_out: list[ProverResult] | None = None,
 ) -> list[Finding]:
     """Run the driver-exclusivity prover; one finding per conflicting or
@@ -100,7 +100,7 @@ def driver_exclusivity_pass(
 
 # -- structural passes -------------------------------------------------------
 
-def comb_cycle_pass(ctx: LintContext, config: LintConfig) -> list[Finding]:
+def comb_cycle_pass(ctx: ClassView, config: LintConfig) -> list[Finding]:
     """Report one combinational cycle with its full path and spans
     (the checker's acyclicity error, upgraded with the route)."""
     if ctx.topo_order is not None:
@@ -116,7 +116,7 @@ def comb_cycle_pass(ctx: LintContext, config: LintConfig) -> list[Finding]:
         {"cycle": named})]
 
 
-def write_only_pass(ctx: LintContext, config: LintConfig) -> list[Finding]:
+def write_only_pass(ctx: ClassView, config: LintConfig) -> list[Finding]:
     """Locally declared signals that are assigned but never read.
     OUT/INOUT ports are excluded (driving them *is* their purpose), and
     ``==``-aliased nets are reported once per alias class."""
@@ -141,7 +141,7 @@ def write_only_pass(ctx: LintContext, config: LintConfig) -> list[Finding]:
     return findings
 
 
-def dead_driver_pass(ctx: LintContext, config: LintConfig) -> list[Finding]:
+def dead_driver_pass(ctx: ClassView, config: LintConfig) -> list[Finding]:
     """Enable conditions that fold to a constant: guard 0 never drives
     (dead code), guard 1 makes the IF vacuous (and the assignment
     effectively unconditional)."""
@@ -173,7 +173,7 @@ def dead_driver_pass(ctx: LintContext, config: LintConfig) -> list[Finding]:
     return findings
 
 
-def reg_has_reset(ctx: LintContext, reg) -> bool:
+def reg_has_reset(ctx: ClassView, reg) -> bool:
     """Heuristic reset detection: some driver of the data pin loads a
     defined constant (``IF RSET THEN r.in := 0`` elaborates to a guarded
     constant driver)."""
@@ -188,7 +188,7 @@ def reg_has_reset(ctx: LintContext, reg) -> bool:
     return False
 
 
-def _shared_prover(ctx: LintContext) -> Prover:
+def _shared_prover(ctx: ClassView) -> Prover:
     """One memoized Prover per context for the helper queries."""
     prover = getattr(ctx, "_lint_shared_prover", None)
     if prover is None:
@@ -204,7 +204,7 @@ def _generic_name(name: str) -> str:
     return re.sub(r"\[\d+\]", "[*]", name)
 
 
-def reg_no_reset_pass(ctx: LintContext, config: LintConfig) -> list[Finding]:
+def reg_no_reset_pass(ctx: ClassView, config: LintConfig) -> list[Finding]:
     # Group never-reset registers by index-generalized name so a
     # 16x8 register file yields one finding, not 128.
     groups: dict[str, list] = {}
@@ -233,7 +233,7 @@ def reg_no_reset_pass(ctx: LintContext, config: LintConfig) -> list[Finding]:
 
 
 def undef_reachability_pass(
-    ctx: LintContext, config: LintConfig
+    ctx: ClassView, config: LintConfig
 ) -> list[Finding]:
     """Forward-propagate UNDEF origins (read-but-undriven nets, outputs
     of never-reset registers) to the design's OUT ports."""
@@ -286,7 +286,7 @@ def undef_reachability_pass(
     return findings
 
 
-def _shared_timing(ctx: LintContext):
+def _shared_timing(ctx: ClassView):
     """One memoized unit-delay timing graph per context — the same
     engine ``zeusc timing`` runs, so depth findings cite the actual
     critical path the STA would report."""
@@ -300,7 +300,7 @@ def _shared_timing(ctx: LintContext):
     return graph
 
 
-def limits_pass(ctx: LintContext, config: LintConfig) -> list[Finding]:
+def limits_pass(ctx: ClassView, config: LintConfig) -> list[Finding]:
     """Configurable fan-out and logic-depth thresholds, computed by the
     shared timing engine (fan-out = wire load, depth = unit-delay
     arrival time)."""
@@ -334,7 +334,7 @@ def limits_pass(ctx: LintContext, config: LintConfig) -> list[Finding]:
 
 #: Registry: (pass name, function).  The prover pass is handled
 #: specially by the runner (it also feeds the report's prover section).
-PassFn = Callable[[LintContext, LintConfig], list[Finding]]
+PassFn = Callable[[ClassView, LintConfig], list[Finding]]
 PASSES: list[tuple[str, PassFn]] = [
     ("comb-cycle", comb_cycle_pass),
     ("undef-reachability", undef_reachability_pass),

@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.values import Logic
+from ..core.view import ClassView, DriverInfo
 from ..formal.solver import (
     ConeBuilder,
     Unknown,
@@ -53,7 +54,6 @@ from ..formal.solver import (
     eval_expr,
     literal_of as _literal,
 )
-from .context import DriverInfo, LintContext
 from .model import LintConfig
 
 _TRUE = ("const", 1)
@@ -135,7 +135,7 @@ class ProverResult:
 class Prover:
     """Runs the driver-exclusivity proof over one design."""
 
-    def __init__(self, ctx: LintContext, config: LintConfig | None = None):
+    def __init__(self, ctx: ClassView, config: LintConfig | None = None):
         self.ctx = ctx
         self.config = config or LintConfig()
         self.builder = ConeBuilder(ctx)
@@ -172,10 +172,9 @@ class Prover:
         folded = eval_expr(g, {})
         if folded is not None:
             return folded == 1
-        support = list(self.builder.support(g))
-        if len(support) > self.config.prover_max_support:
+        if len(self.builder.support(g)) > self.config.prover_max_support:
             return None
-        match self._cosat(g, _TRUE, support):
+        match self._cosat(g, _TRUE):
             case Unknown():
                 return None
             case Unsat():
@@ -283,7 +282,7 @@ class Prover:
                 "remains the oracle")
         key = (id(ga), id(gb))
         if key not in self._pair_memo:
-            self._pair_memo[key] = self._cosat(ga, gb, support)
+            self._pair_memo[key] = self._cosat(ga, gb)
         outcome = self._pair_memo[key]
         match outcome:
             case Unknown():
@@ -315,10 +314,10 @@ class Prover:
             da.index, db.index, "conflicting",
             "both drivers enabled under the witness assignment", named)
 
-    def _cosat(self, ga: tuple, gb: tuple, support: list):
+    def _cosat(self, ga: tuple, gb: tuple):
         """Search for an assignment with ga = gb = 1 on the shared
         solver core: Sat, Unsat or Unknown."""
-        return cosat(ga, gb, support, budget=self.config.prover_budget)
+        return cosat(ga, gb, budget=self.config.prover_budget)
 
     def _var_name(self, key: tuple) -> str:
         if key[0] == "net":

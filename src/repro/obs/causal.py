@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..core.values import Logic
+from ..core.view import DriverInfo
 from ..lang.errors import SimulationError
 
 if TYPE_CHECKING:
@@ -244,7 +245,7 @@ class _Explainer:
         sim = self.sim
         raw = self._value(i, cycle)
         value = str(raw) if raw is not None else "(never fired)"
-        node = CauseNode(sim._display[i], cycle, value, "")
+        node = CauseNode(sim.view.display[i], cycle, value, "")
         self.memo[key] = node
         self.count += 1
         if self.count >= self.max_nodes:
@@ -332,38 +333,36 @@ class _Explainer:
         self,
         node: CauseNode,
         i: int,
-        dis: tuple,
+        drivers: tuple[DriverInfo, ...],
         cycle: int,
         raw: Logic | None,
     ) -> str:
-        sim = self.sim
+        display = self.sim.view.display
         rec = self.flight.snapshot(cycle)
-        active: list[int] = []  # guard 1 (or unconditional)
-        maybe: list[int] = []  # guard UNDEF
-        off: list[int] = []  # guard 0
-        for di in dis:
-            drv = sim._drivers[di]
+        active: list[DriverInfo] = []  # guard 1 (or unconditional)
+        maybe: list[DriverInfo] = []  # guard UNDEF
+        off: list[DriverInfo] = []  # guard 0
+        for drv in drivers:
             if drv.cond is None:
-                active.append(di)
+                active.append(drv)
                 continue
             cv = rec.values[drv.cond]
             cb = cv.to_boolean() if cv is not None else None
             if cb is Logic.ZERO:
-                off.append(di)
+                off.append(drv)
             elif cb is Logic.ONE:
-                active.append(di)
+                active.append(drv)
             else:
-                maybe.append(di)
+                maybe.append(drv)
 
-        def describe(di: int) -> str:
-            drv = sim._drivers[di]
+        def describe(drv: DriverInfo) -> str:
             src = (
                 f"constant {drv.const}"
                 if drv.const is not None
-                else sim._display[drv.src]
+                else display[drv.src]
             )
             guard = (
-                f"guard {sim._display[drv.cond]}"
+                f"guard {display[drv.cond]}"
                 if drv.cond is not None
                 else "unconditional"
             )
@@ -373,15 +372,15 @@ class _Explainer:
         # value.  Name every one of them -- this is the multiplex
         # double-drive diagnosis.
         driving = [
-            di
-            for di in active
-            if self._driver_value(di, rec) not in (None, Logic.NOINFL)
+            drv
+            for drv in active
+            if self._driver_value(drv, rec) not in (None, Logic.NOINFL)
         ]
         conflicted = any(v.net == node.net for v in rec.violations)
         if conflicted and len(driving) > 1:
-            for di in driving:
-                self._add_driver_children(node, di, cycle)
-            names = ", ".join(describe(di) for di in driving)
+            for drv in driving:
+                self._add_driver_children(node, drv, cycle)
+            names = ", ".join(describe(drv) for drv in driving)
             return (
                 f"MULTIPLEX CONFLICT: {len(driving)} drivers drove "
                 f"simultaneously -- {names} -- result forced to UNDEF"
@@ -389,46 +388,42 @@ class _Explainer:
         if maybe:
             # Undefined guards poison the net no matter what the sources
             # hold: the guards are the cause.
-            for di in maybe:
-                drv = sim._drivers[di]
+            for drv in maybe:
                 node.children.append(self.visit(drv.cond, cycle))
-            names = ", ".join(describe(di) for di in maybe)
+            names = ", ".join(describe(drv) for drv in maybe)
             return (
                 f"{len(maybe)} driver(s) with an UNDEF guard may drive "
                 f"({names}): value poisoned to UNDEF"
             )
         if driving:
-            for di in driving:
-                self._add_driver_children(node, di, cycle)
-            names = ", ".join(describe(di) for di in driving)
+            for drv in driving:
+                self._add_driver_children(node, drv, cycle)
+            names = ", ".join(describe(drv) for drv in driving)
             return f"driven by {names}"
         if active:
             # Guards passed but every source was NOINFL.
-            for di in active:
-                self._add_driver_children(node, di, cycle)
+            for drv in active:
+                self._add_driver_children(node, drv, cycle)
             return (
                 f"{len(active)} enabled driver(s) passed NOINFL "
                 "(source has no influence)"
             )
         # Nothing drives: explain why each guard was off.
-        for di in off:
-            drv = sim._drivers[di]
+        for drv in off:
             node.children.append(self.visit(drv.cond, cycle))
         return (
             f"all {len(off)} conditional driver(s) off (guards 0): "
             "no influence"
         )
 
-    def _driver_value(self, di: int, rec) -> Logic | None:
-        drv = self.sim._drivers[di]
+    def _driver_value(self, drv: DriverInfo, rec) -> Logic | None:
         if drv.const is not None:
             return drv.const
         return rec.values[drv.src]
 
     def _add_driver_children(
-        self, node: CauseNode, di: int, cycle: int
+        self, node: CauseNode, drv: DriverInfo, cycle: int
     ) -> None:
-        drv = self.sim._drivers[di]
         if drv.cond is not None:
             node.children.append(self.visit(drv.cond, cycle))
         if drv.src is not None:

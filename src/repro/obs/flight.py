@@ -49,6 +49,9 @@ from ..core.values import Logic
 if TYPE_CHECKING:
     from ..core.simulator import Simulator, Violation
 
+#: The order in which a class's static cause names its producers.
+_CAUSE_ORDER = {"gate": 0, "drivers": 1, "register": 2, "input": 3}
+
 
 @dataclass
 class CycleRecord:
@@ -246,26 +249,22 @@ class FlightRecorder:
     def producers(self) -> list[list[tuple[str, object]]]:
         """Per class: its producers in the semantics graph, as
         ``(kind, detail)`` pairs — ``("gate", gate_index)``,
-        ``("drivers", (driver_index, ...))``, ``("register", reg_index)``,
+        ``("drivers", (DriverInfo, ...))``, ``("register", reg_index)``,
         ``("input", None)``, ``("free", None)``.  A checked schedulable
         design has exactly one producer per class; the dataflow oracle
         also runs designs where classes carry several."""
         if self._producers is None:
-            sim = self.sim
-            n = len(sim._canon_ids)
-            prod: list[list[tuple[str, object]]] = [[] for _ in range(n)]
-            for gi, out in enumerate(sim._gate_out):
-                prod[out].append(("gate", gi))
-            for ci in range(n):
-                if sim._drivers_of[ci]:
-                    prod[ci].append(("drivers", tuple(sim._drivers_of[ci])))
-            for ri, qi in enumerate(sim._reg_q):
-                prod[qi].append(("register", ri))
-            for i in range(n):
-                if sim._is_input[i] and not sim._drivers_of[i]:
-                    prod[i].append(("input", None))
-            for i in sim._free:
-                prod[i].append(("free", None))
+            view = self.sim.view
+            prod: list[list[tuple[str, object]]] = []
+            for entries in view.producers():
+                row: list[tuple[str, object]] = []
+                for kind, k in sorted(entries,
+                                      key=lambda e: _CAUSE_ORDER[e[0]]):
+                    if kind == "drivers":
+                        row.append((kind, tuple(view.drivers_of[k])))
+                    else:
+                        row.append((kind, None if kind == "input" else k))
+                prod.append(row or [("free", None)])
             self._producers = prod
         return self._producers
 
@@ -296,7 +295,7 @@ class FlightRecorder:
         cycle; ``include_synthetic=False`` drops elaborator-synthesized
         ``$``-nets (gate outputs etc.) from the firing events."""
         sim = self.sim
-        display = sim._display
+        display = sim.view.display
         recs = (
             [self.snapshot(cycle)] if cycle is not None else list(self.records)
         )

@@ -4,7 +4,7 @@ The subsystem layers (each module usable on its own):
 
 - :mod:`.graph` — the timing graph + the repo's single levelized
   arrival-propagation implementation (``netstats.logic_levels`` and
-  ``LintContext.levels`` delegate here);
+  ``ClassView.levels`` delegate here);
 - :mod:`.delay` — configurable delay models (``unit`` default, so
   every historical depth number is reproduced bit-for-bit; ``fanout``
   for per-opcode + wire-load estimates);
@@ -21,6 +21,7 @@ tests share.
 
 from __future__ import annotations
 
+from ..core.view import ClassView
 from .delay import FANOUT, GATE_DELAYS, MODELS, UNIT, DelayModel, get_model
 from .falsepath import PathChecker
 from .graph import TimingEdge, TimingGraph, propagate_levels
@@ -93,10 +94,9 @@ def analyze_timing(circuit, *, model="unit", clock=None, k: int = 4,
     from ..obs.spans import span
 
     dm = get_model(model)
-    from ..lint.context import LintContext  # lazy: lint imports .graph
 
     with span("timing", design=circuit.name, model=dm.name):
-        ctx = LintContext(circuit.design)
+        ctx = ClassView(circuit.design)
         graph = TimingGraph(ctx, dm)
         report = TimingReport(
             design=circuit.name, stats=circuit.stats(),

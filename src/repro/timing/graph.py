@@ -3,16 +3,16 @@
 This module owns the repo's single implementation of topological
 level/arrival propagation over the REG-cut combinational graph.
 :func:`propagate_levels` is the unit-delay special case that
-``analysis.netstats.logic_levels`` and ``LintContext.levels`` delegate
+``analysis.netstats.logic_levels`` and ``ClassView.levels`` delegate
 to; :class:`TimingGraph` generalizes it to a configurable delay model
 (:mod:`repro.timing.delay`) with per-edge provenance, which is what the
 k-worst path enumerator (:mod:`repro.timing.paths`) and the SAT
 false-path pruner (:mod:`repro.timing.falsepath`) walk.
 
-The graph is built over the duck-typed :class:`~repro.lint.context.
-LintContext` surface (canonical net classes, ``gates_of``,
-``drivers_of``, ``topo_order``), exactly like the formal encoder, so
-STA, lint and the prover all see the same structure.  Edge kinds:
+The graph is built over the design's :class:`~repro.core.view.ClassView`
+(canonical net classes, ``gates_of``, ``drivers_of``, ``topo_order``),
+exactly like the formal encoder, so STA, lint and the prover all see
+the same structure.  Edge kinds:
 
 ``gate``
     Gate input -> gate output, annotated with the gate and the input
@@ -44,7 +44,7 @@ def propagate_levels(order, deps, edge_delay=None):
     *n* depends on.  Without *edge_delay* this is the classic
     unit-delay levelization (sources level 0, each edge adds one) —
     the one implementation behind ``netstats.logic_levels``,
-    ``LintContext.levels`` and the unit timing model.  With
+    ``ClassView.levels`` and the unit timing model.  With
     *edge_delay* (a ``(node, pred) -> number`` callable) it computes
     arrival times ``arrival[n] = max(arrival[p] + edge_delay(n, p))``.
     """
@@ -83,7 +83,7 @@ class TimingEdge:
 class TimingGraph:
     """Arrival/required/slack analysis of one elaborated design.
 
-    ``ctx`` is duck-typed with the :class:`LintContext` surface;
+    ``ctx`` is the design's :class:`~repro.core.view.ClassView`;
     ``model`` a :class:`~repro.timing.delay.DelayModel`.  Under the
     unit model the arrival times are *exactly* the unit-delay logic
     levels (the regression test pins this on the whole stdlib corpus).

@@ -3,7 +3,7 @@
 import pytest
 
 import repro
-from repro.core import checker, elaborate
+from repro.core import ClassView, checker, elaborate
 from repro.lang import CheckError, parse
 
 from zeus_test_utils import compile_ok
@@ -27,7 +27,7 @@ SIGNAL u: t;
 class TestDependencyGraph:
     def test_edges_follow_dataflow(self):
         d = design_of(SIMPLE)
-        deps = checker.dependency_graph(d.netlist)
+        deps = ClassView(d.netlist).net_deps
         names = {n.id: n.name for n in d.netlist.nets}
         # y depends (transitively) on s's gate; s's gate on a and b.
         y = next(i for i, n in names.items() if n == "u.y")
@@ -35,10 +35,9 @@ class TestDependencyGraph:
 
     def test_topological_order_is_consistent(self):
         d = design_of(SIMPLE)
-        order = checker.topological_order(d.netlist)
-        pos = {nid: i for i, nid in enumerate(order)}
-        deps = checker.dependency_graph(d.netlist)
-        for dst, srcs in deps.items():
+        view = ClassView(d.netlist)
+        pos = {ci: i for i, ci in enumerate(view.topo_order)}
+        for dst, srcs in view.deps.items():
             for src in srcs:
                 assert pos[src] < pos[dst]
 
@@ -51,7 +50,8 @@ class TestDependencyGraph:
             SIGNAL u: t;
             """
         )
-        checker.topological_order(d.netlist)  # no exception
+        view = ClassView(d.netlist)
+        assert view.topo_order is not None and view.cycle == []
 
     def test_cycle_message_names_nets(self):
         d = design_of(
@@ -63,7 +63,7 @@ class TestDependencyGraph:
             """
         )
         with pytest.raises(CheckError) as err:
-            checker.topological_order(d.netlist)
+            checker.check(d)
         assert "s1" in str(err.value) or "s2" in str(err.value)
 
 

@@ -1,8 +1,12 @@
 """CLI driver tests (zeusc)."""
 
+import pathlib
+
 import pytest
 
 from repro.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run(argv, capsys):
@@ -147,6 +151,18 @@ class TestAnalyze:
             ["analyze", "--builtin", "adders", "--cone", "nope"], capsys
         )
         assert code == 1
+
+
+class TestGoldenReports:
+    """``zeusc stats`` and ``zeusc analyze`` text, pinned byte for byte
+    in ``tests/golden/<design>_<command>.txt``."""
+
+    @pytest.mark.parametrize("design", ["blackjack", "routing"])
+    @pytest.mark.parametrize("cmd", ["stats", "analyze"])
+    def test_matches_golden(self, cmd, design, capsys):
+        code, out, _ = run([cmd, "--builtin", design], capsys)
+        assert code == 0
+        assert out == (GOLDEN / f"{design}_{cmd}.txt").read_text()
 
 
 class TestDot:

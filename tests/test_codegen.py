@@ -466,6 +466,65 @@ SIGNAL u: t;
 """
 
 
+def _guarded_mux(n_drivers):
+    """One multiplex ``u.p`` with *n_drivers* guarded drivers
+    ``IF gI THEN p := sI END`` (every guard and source an input), and
+    the input names."""
+    inputs = [f"g{i}" for i in range(n_drivers)] + [
+        f"s{i}" for i in range(n_drivers)]
+    body = "".join(f"    IF g{i} THEN p := s{i} END;\n"
+                   for i in range(n_drivers))
+    text = (
+        f"TYPE t = COMPONENT (IN {', '.join(inputs)}: boolean; "
+        "OUT y: boolean) IS\n"
+        "SIGNAL p: multiplex;\n"
+        f"BEGIN\n{body}    y := p\nEND;\nSIGNAL u: t;\n"
+    )
+    return compile_ok(text), [f"u.{name}" for name in inputs]
+
+
+class TestConflictRecords:
+    """Every {0, 1, UNDEF} input of a multiplex net with three and with
+    four guarded drivers, one non-strict cycle each.  After a lane's
+    first conflict the kernel reports the resolved UNDEF as the prior
+    value, like the scalar engines: its records (net and values, in
+    order) equal levelized's, and peeks and (cycle, net) sets equal
+    dataflow's."""
+
+    @pytest.mark.parametrize("n_drivers", [3, 4])
+    def test_sweep(self, n_drivers):
+        circuit, inputs = _guarded_mux(n_drivers)
+        vectors = list(itertools.product(ALL_LOGIC[:3], repeat=len(inputs)))
+        kernel = _codegen_sim(circuit, len(vectors), strict=False)
+        for path, column in zip(inputs, zip(*vectors)):
+            kernel.poke_lanes(path, list(column))
+        kernel.step()
+        scalar = {engine: circuit.simulator(engine=engine, strict=False)
+                  for engine in ("levelized", "dataflow")}
+        peeks = {engine: [] for engine in scalar}
+        for vector in vectors:
+            for engine, sim in scalar.items():
+                for path, value in zip(inputs, vector):
+                    sim.poke(path, value)
+                sim.step()
+                peeks[engine].append((sim.peek("u.p"), sim.peek("u.y")))
+        records = {engine: [[] for _ in vectors] for engine in scalar}
+        for engine, sim in scalar.items():
+            for v in sim.violations:
+                records[engine][v.cycle].append((v.net, v.values))
+        lane_records = [[] for _ in vectors]
+        for v in kernel.violations:
+            lane_records[v.lane].append((v.net, v.values))
+        assert sum(map(bool, lane_records)) > 0
+        for k in range(len(vectors)):
+            assert lane_records[k] == records["levelized"][k], vectors[k]
+            assert peeks["dataflow"][k] == peeks["levelized"][k], vectors[k]
+            assert peeks["dataflow"][k] == (
+                kernel.peek_lane("u.p", k), kernel.peek_lane("u.y", k))
+            assert ({net for net, _ in records["dataflow"][k]}
+                    == {net for net, _ in lane_records[k]}), vectors[k]
+
+
 class TestRandomLanes:
     LANES = 4099
 

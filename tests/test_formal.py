@@ -121,7 +121,7 @@ SIGNAL u: t;
 
 
 def _pigeonhole(holes):
-    """(targets, blockers, support) placing holes + 1 pigeons in
+    """(targets, blockers) placing holes + 1 pigeons in
     *holes* holes, one pigeon per hole: UNSAT, and only by search."""
     var = {(i, j): ("var", (i, j))
            for i in range(holes + 1) for j in range(holes)}
@@ -130,7 +130,7 @@ def _pigeonhole(holes):
     blockers = [("gate", "AND", (var[i, j], var[k, j]))
                 for j in range(holes)
                 for i in range(holes + 1) for k in range(i + 1, holes + 1)]
-    return targets, blockers, sorted(var)
+    return targets, blockers
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +190,11 @@ class TestSolver:
     def test_contradiction_unsat(self):
         a = ("var", "a")
         contradiction = ("gate", "AND", (a, ("gate", "NOT", (a,))))
-        assert solve((contradiction,), support=("a",)) == Unsat()
+        assert solve((contradiction,)) == Unsat()
 
     def test_witness_found_and_partial(self):
         target = ("gate", "OR", (("var", "a"), ("var", "b")))
-        outcome = solve((target,), support=("a", "b"))
+        outcome = solve((target,))
         assert isinstance(outcome, Sat)
         assert eval_expr(target, outcome.witness) == 1
         # Partial: one true disjunct settles the OR.
@@ -203,7 +203,7 @@ class TestSolver:
     def test_blockers_block(self):
         a = ("var", "a")
         # target a=1 while blocking a=1: unsatisfiable.
-        assert solve((a,), blockers=(a,), support=("a",)) == Unsat()
+        assert solve((a,), blockers=(a,)) == Unsat()
 
     def test_budget_exhausted_is_unknown(self):
         outcome = solve(*_pigeonhole(4), budget=1)

@@ -28,7 +28,7 @@ from repro.formal import (
 )
 from repro.formal import bmc, equiv, solver
 from repro.lint import LintConfig, run_lint
-from repro.lint.context import LintContext
+from repro.lint import LintContext
 from repro.stdlib.programs import ALL_PROGRAMS, ripple_carry
 from repro.timing import analyze_timing
 from repro.timing import falsepath
@@ -221,9 +221,9 @@ def _record_queries(monkeypatch, run):
     calls = []
     real = solver.solve
 
-    def recording(targets, blockers=(), support=(), **kw):
+    def recording(targets, blockers=(), **kw):
         targets, blockers = tuple(targets), tuple(blockers)
-        outcome = real(targets, blockers, support, **kw)
+        outcome = real(targets, blockers, **kw)
         calls.append((targets, blockers, kw.get("domains"), outcome))
         return outcome
 

@@ -5,6 +5,8 @@ one of the scattered textual rules, in both the accepting and the
 rejecting direction.
 """
 
+import re
+
 import pytest
 
 import repro
@@ -179,6 +181,11 @@ class TestParameterDirections:
         )
 
 
+def _whole(message):
+    """A ``match`` pattern for exactly *message*."""
+    return f"^{re.escape(message)}$"
+
+
 class TestFeedbackLoops:
     def test_combinational_loop_rejected(self):
         rejects(
@@ -192,7 +199,8 @@ class TestFeedbackLoops:
             END;
             SIGNAL u: t;
             """,
-            "feedback loop",
+            _whole("combinational feedback loop (not through a register): "
+                   "u.s1 -> $not0 -> u.s2 -> $not1 -> u.s1"),
         )
 
     def test_loop_through_register_ok(self):
@@ -219,7 +227,8 @@ class TestFeedbackLoops:
             END;
             SIGNAL u: t;
             """,
-            "feedback loop",
+            _whole("combinational feedback loop (not through a register): "
+                   "u.s[1] -> u.s[1]"),
         )
 
 

@@ -22,7 +22,7 @@ import pytest
 import repro
 from repro.cli import main
 from repro.analysis import netstats
-from repro.lint.context import LintContext
+from repro.lint import LintContext
 from repro.stdlib import programs
 from repro.timing import (
     FANOUT,
