@@ -208,15 +208,14 @@ class Checker:
         self._warn_write_only()
 
     def _warn_write_only(self) -> None:
-        """Assigned-but-never-read warnings, delegated to the lint
-        framework's write-only pass so the checker and ``zeusc lint``
-        agree on the exclusions (ports, ``==``-alias dedup, synthetic
-        nets)."""
-        from ..lint.model import LintConfig
-        from ..lint.passes import write_only_pass
-
-        for finding in write_only_pass(self.view, LintConfig()):
-            self.sink.warning(finding.message, finding.span, phase="check")
+        """Assigned-but-never-read warnings: the classes the lint
+        write-only pass reports too (one query of the view), so the
+        checker and ``zeusc lint`` agree on the exclusions (ports,
+        ``==``-alias dedup, synthetic nets) without the checker loading
+        the lint or formal stacks."""
+        view = self.view
+        for ci, message in view.write_only():
+            self.sink.warning(message, view.span_of(ci), phase="check")
 
 
 def check(design: Design, strict: bool = True) -> DiagnosticSink:

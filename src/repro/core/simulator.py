@@ -658,16 +658,23 @@ class Simulator:
             if mon:
                 self.metrics.latches += driving.bit_count()
 
+    def current_values(self) -> list[Logic | None]:
+        """The value of every alias class after the last evaluation
+        (None: never fired), indexed like :attr:`view`.  On the batched
+        engine this is lane 0, copied out of the planes on demand; every
+        scalar read (``peek``, traces) goes through it."""
+        if self.lanes is not None and self._values_stale:
+            self._materialize_lane0()
+        return self.values
+
     def peek(self, path: str) -> list[Logic]:
         """Read current values (boolean signals convert NOINFL to UNDEF).
 
         On the batched engine this reads lane 0."""
-        if self.lanes is not None and self._values_stale:
-            self._materialize_lane0()
+        values = self.current_values()
         out: list[Logic] = []
         for net in self.nets_of(path):
-            i = self._idx(net)
-            v = self.values[i]
+            v = values[self._idx(net)]
             if v is None:
                 v = Logic.UNDEF
             if net.kind == BOOLEAN:
@@ -709,8 +716,7 @@ class Simulator:
             if fl is not None:
                 fl.record(self, self.violations[v0:])
             if self._traces:
-                if self.lanes is not None and self._values_stale:
-                    self._materialize_lane0()
+                self.current_values()  # the samplers read self.values
                 for trace in self._traces:
                     trace.sample(self)
             self.cycle += 1
@@ -1232,9 +1238,7 @@ class Simulator:
     def event_count(self) -> int:
         """Nets fired in the last evaluation (a work measure for the
         simulator-complexity benchmarks)."""
-        if self.lanes is not None and self._values_stale:
-            self._materialize_lane0()
-        return sum(1 for v in self.values if v is not None)
+        return sum(1 for v in self.current_values() if v is not None)
 
 
 def _gate_value(

@@ -261,6 +261,29 @@ class ClassView:
             counts[idx(reg.d)] += 1
         return dict(counts)
 
+    def write_only(self) -> list[tuple[int, str]]:
+        """Locally declared signals that are assigned but never read, as
+        ``(class, message)`` in class order.  OUT/INOUT ports are
+        excluded (driving them *is* their purpose), ``==``-aliased nets
+        count once per alias class, and synthetic helper nets never
+        count.  The checker's warning and the lint write-only pass both
+        read this."""
+        out = []
+        for ci in sorted(self.driven - self.readers):
+            if self.is_output[ci] or self.is_input[ci]:
+                continue
+            if self.roles[ci] & {"formal_out", "pin_out", "formal_inout",
+                                 "pin_inout"}:
+                continue
+            display = self.display[ci]
+            if display.startswith("$"):
+                continue
+            what = ("register output" if ci in self.reg_q_of
+                    else "signal")
+            out.append((ci, f"{what} {display!r} is assigned but never "
+                            "read"))
+        return out
+
     def multi_driver_classes(self) -> list[int]:
         """Classes with two or more (deduplicated) explicit drivers --
         the driver-exclusivity prover's work list."""

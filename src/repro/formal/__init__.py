@@ -36,11 +36,11 @@ from .solver import (  # noqa: F401  (import order: solver has no deps)
     ConeBuilder,
     ExprFactory,
     Sat,
+    Solver,
     SolverStats,
     Unknown,
     Unsat,
     apply_op,
-    cosat,
     eval_expr,
     solve,
     support_of,
@@ -68,12 +68,12 @@ __all__ = [
     "PropertyResult",
     "SCHEMA",
     "Sat",
+    "Solver",
     "SolverStats",
     "Unknown",
     "Unsat",
     "apply_op",
     "check_equivalence",
-    "cosat",
     "default_properties",
     "eval_expr",
     "input_groups",

@@ -25,7 +25,10 @@ out of budget, or the design defeats the encoder).
 The BMC loop asks one SAT question per frame ("bad at cycle t?") so a
 shallow counterexample never pays for a deep unrolling; frames share
 structure through the interning factory, which is what keeps k-cycle
-unrollings of register designs tractable.
+unrollings of register designs tractable.  One :class:`Solver` answers
+every BMC question of a :func:`prove` call, so each node of the
+unrolling is encoded once; each property's k-induction loop keeps a
+private one.  Counterexamples replay through one simulator per call.
 """
 
 from __future__ import annotations
@@ -34,15 +37,15 @@ from dataclasses import dataclass
 
 from ..core.view import ClassView
 from .encode import EncodeError, Encoder, input_groups, out_ports
-from .replay import replay_property
+from .replay import Replayer, replay_property
 from .report import Counterexample, ProofReport, PropertyResult
 from .solver import (
     ExprFactory,
     Sat,
+    Solver,
     SolverStats,
     Unknown,
     eval_expr,
-    solve,
 )
 
 #: Register-state variables in the inductive step range over the full
@@ -159,16 +162,19 @@ def _prove_into(circuit, props: list[str], cfg: FormalConfig,
         return
     sequential = bool(circuit.netlist.regs)
     depth = cfg.depth if sequential else 0
+    solver = Solver()
+    replayer = Replayer()
     for prop in props:
         report.results.append(
             _check_property(circuit, ctx, enc, factory, prop, depth,
-                            sequential, cfg, stats))
+                            sequential, cfg, stats, solver, replayer))
     report.clauses = factory.node_count
 
 
 def _check_property(circuit, ctx, enc: Encoder, factory: ExprFactory,
                     prop: str, depth: int, sequential: bool,
-                    cfg: FormalConfig, stats: SolverStats) -> PropertyResult:
+                    cfg: FormalConfig, stats: SolverStats, solver: Solver,
+                    replayer: Replayer) -> PropertyResult:
     bad = _bad_builder(prop, enc)  # bad property names raise ValueError
     clean_to = -1
     for t in range(depth + 1):
@@ -178,7 +184,7 @@ def _check_property(circuit, ctx, enc: Encoder, factory: ExprFactory,
             return PropertyResult(prop, "unknown", "bmc", clean_to,
                                   reason=str(exc))
         for b in obligations:
-            match solve((b,), budget=cfg.budget, stats=stats):
+            match solver.solve((b,), budget=cfg.budget, stats=stats):
                 case Unknown():
                     return PropertyResult(
                         prop, "unknown", "bmc", clean_to,
@@ -186,7 +192,7 @@ def _check_property(circuit, ctx, enc: Encoder, factory: ExprFactory,
                                f"exhausted at frame {t}")
                 case Sat(witness):
                     return _refute(circuit, ctx, enc, prop, t, witness,
-                                   clean_to)
+                                   clean_to, replayer)
         clean_to = t
     if not sequential:
         return PropertyResult(
@@ -204,7 +210,7 @@ def _check_property(circuit, ctx, enc: Encoder, factory: ExprFactory,
 
 
 def _refute(circuit, ctx, enc: Encoder, prop: str, t: int, witness: dict,
-            clean_to: int) -> PropertyResult:
+            clean_to: int, replayer: Replayer) -> PropertyResult:
     uncontrolled = _uncontrollable(enc, witness)
     if uncontrolled:
         return PropertyResult(
@@ -213,7 +219,8 @@ def _refute(circuit, ctx, enc: Encoder, prop: str, t: int, witness: dict,
                    f"({len(uncontrolled)} RANDOM/opaque variable(s)); "
                    "no replayable stimulus")
     frames = _witness_trace(ctx, witness, t)
-    confirmed, detail = replay_property(circuit, prop, frames)
+    confirmed, detail = replay_property(replayer.fresh(circuit), prop,
+                                        frames)
     cex = Counterexample(t, frames, confirmed, detail)
     if not confirmed:
         return PropertyResult(
@@ -250,16 +257,19 @@ def _reg_domains(encoders) -> dict:
 def _induction_loop(bads, depth: int, cfg: FormalConfig,
                     stats: SolverStats, domains: dict) -> int | None:
     """Shared k-loop: UNSAT for every frame-k obligation, given every
-    frame-<k obligation blocked, closes the proof at k."""
+    frame-<k obligation blocked, closes the proof at k.  The loop keeps
+    a solver of its own: its blockers only accumulate, so each frame's
+    obligations are blocked for good once the loop moves past it."""
+    solver = Solver(domains)
     for k in range(1, depth + 1):
         targets = bads[k]
         if not targets:
             return k
-        blockers = [b for frame in bads[:k] for b in frame]
+        for b in bads[k - 1]:
+            solver.add_blocker(b)
         failed = False
         for target in targets:
-            match solve((target,), blockers, budget=cfg.budget,
-                        domains=domains, stats=stats):
+            match solver.solve((target,), budget=cfg.budget, stats=stats):
                 case Unknown():
                     return None
                 case Sat():

@@ -1,5 +1,7 @@
-"""Dual-rail CNF encoding and the clause-learning search behind
-:func:`repro.formal.solver.solve`.
+"""The incremental clause-learning solver behind every formal question:
+a dual-rail CNF encoding and one CDCL search in one object,
+:class:`Solver` (:func:`repro.formal.solver.solve` is a one-question
+wrapper over it).
 
 Every expression node gets two boolean *rails* in the lane kernel's
 plane convention: ``p0`` ("may be 0") and ``p1`` ("may be 1"), so that
@@ -21,12 +23,14 @@ Clauses come from three sources:
   op, child domains);
 * **structural** encodings of ``bus`` and ``conflict``, linear in the
   driver count (a sequential at-least-two counter);
-* **units** for constants (one shared TRUE variable) and targets.
+* **units** for constants (one shared TRUE variable).
 
-The search is CDCL: two watched literals (binary clauses on implication
-lists), first-UIP learning, VSIDS over every variable, phase saving,
-Luby restarts and learnt-clause reduction at restarts.  The budget
-bounds *conflicts*.
+A verification run keeps one :class:`Solver`: each node is encoded
+once, and each question passes its targets and blockers as
+assumptions.  The search is CDCL: two watched literals (binary clauses
+on implication lists), first-UIP learning, VSIDS over the question's
+cone, phase saving, Luby restarts and learnt-clause reduction at
+restarts.  The budget bounds *conflicts* per question.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from .solver import _eval, children_of
+from .solver import Sat, Unknown, Unsat, _eval, _is_state, children_of
 
 # Literals: 2 * var + sign (sign 1 = negated).  Var 1 is the constant
 # TRUE, fixed by a unit clause.
@@ -185,26 +189,63 @@ _OWN = {m: ((0, 1) if n == 2 else (1,) if n == 1 and s1 == (0, 0)
 
 
 # ---------------------------------------------------------------------------
-# The encoder.
+# The solver: encoder and search in one object.
 # ---------------------------------------------------------------------------
 
 
-class Cnf:
-    """Dual-rail CNF of one expression DAG (nodes keyed by identity).
+class Solver:
+    """One incremental CDCL solver over the dual-rail CNF of one run's
+    expression DAG (nodes keyed by identity).
+
+    A node is encoded the first time a question reaches it.  Its clauses
+    define it as a function of its children and stay for the solver's
+    life, as do the watches, the level-0 facts, the VSIDS activities,
+    the saved phases and the learnt clauses.  A question asserts its
+    targets and blockers as *assumptions* on one "is 1" literal per
+    node, so nothing a question asserts outlives it; learnt clauses are
+    implied by the definitions alone.  Because every clause but a
+    permanent blocker (:meth:`add_blocker`) defines a node, any
+    consistent assignment of a question's cone extends to the rest of
+    the CNF: the search decides only the cone's variables.
 
     ``rails[id(node)]`` is ``(l0, l1, mask)``; ``var_rails[key]`` the
-    rails of each free variable.  Clauses of length >= 2 collect in
-    ``clauses``, units in ``units``; ``unsat`` records an empty clause
-    found while simplifying."""
+    rails of each free variable.  ``unsat`` records that the permanent
+    clauses are contradictory (only permanent blockers can make them
+    so)."""
 
     def __init__(self, domains: dict | None = None):
         self.domains = domains or {}
         self.nvars = 1
-        self.clauses: list[list[int]] = []
-        self.units: list[int] = [TRUE]
-        self.unsat = False
         self.rails: dict[int, tuple] = {}
         self.var_rails: dict = {}
+        self.unsat = False
+        #: Permanently blocked nodes (see :meth:`add_blocker`).
+        self.blocked: list[tuple] = []
+        #: id(node) -> (node, the variables its encoding allocated,
+        #: children).  Holding every encoded node keeps its id unique.
+        self._info: dict[int, tuple] = {}
+        #: (variables, keys, node ids) of the permanent blockers' cones
+        self._held: tuple[list, dict, set] = ([], {}, set())
+        self._is1: dict[int, int] = {}
+        self._new: list[list[int]] = []   # clauses not yet attached
+        self.clauses: list[list[int]] = []
+        self.learnts: list[list[int]] = []
+        # Per literal (2 * var + sign) and per variable; var 1 is TRUE.
+        self.val = [0, 0, 1, -1]
+        self.watches: list[list] = [[], [], [], []]
+        self.bins: list[list] = [[], [], [], []]
+        self.level = [0, 0]
+        self.reason: list = [None, None]
+        self.act = [0.0, 0.0]
+        self.phase = [1, 1]         # preferred sign: 1 = negative
+        self.seen = [False, False]
+        self.stamp = [0, 0]         # the last question whose cone held it
+        self.trail = [TRUE]
+        self.lim: list[int] = []
+        self.qhead = 1
+        self.inc = 1.0
+        self.max_learnts = 2000
+        self._questions = 0
 
     # -- clause plumbing ----------------------------------------------------
 
@@ -213,6 +254,7 @@ class Cnf:
         return 2 * self.nvars
 
     def add(self, lits) -> None:
+        """Add a permanent clause; it is attached at the next search."""
         out: list[int] = []
         for lit in lits:
             if lit == TRUE or lit ^ 1 in out:
@@ -220,12 +262,7 @@ class Cnf:
             if lit == FALSE or lit in out:
                 continue
             out.append(lit)
-        if len(out) > 1:
-            self.clauses.append(out)
-        elif out:
-            self.units.append(out[0])
-        else:
-            self.unsat = True
+        self._new.append(out)
 
     def and2(self, a: int, b: int) -> int:
         if a == FALSE or b == FALSE or a == b ^ 1:
@@ -301,18 +338,22 @@ class Cnf:
         hit = rails.get(id(root))
         if hit is not None:
             return hit
+        info = self._info
         stack = [root]
         while stack:
             e = stack[-1]
             if id(e) in rails:
                 stack.pop()
                 continue
-            pending = [c for c in children_of(e) if id(c) not in rails]
+            kids = children_of(e)
+            pending = [c for c in kids if id(c) not in rails]
             if pending:
                 stack.extend(pending)
                 continue
             stack.pop()
+            first = self.nvars + 1
             rails[id(e)] = self._node(e)
+            info[id(e)] = (e, range(first, self.nvars + 1), kids)
         return rails[id(root)]
 
     def _node(self, e: tuple) -> tuple:
@@ -399,6 +440,364 @@ class Cnf:
             (_BIT[1] if multi != FALSE else 0)
         return (multi ^ 1, multi, mask)
 
+    def is_one(self, e: tuple) -> int:
+        """The literal "*e* is exactly 1" (a target's assumption, the
+        negation of a blocker's), defined once per node."""
+        lit = self._is1.get(id(e))
+        if lit is None:
+            l0, l1, _ = self.encode(e)
+            lit = self._is1[id(e)] = self.and2(l1, l0 ^ 1)
+        return lit
+
+    def add_blocker(self, e: tuple) -> None:
+        """Forbid *e* from being 1 in every later question.  Only a
+        question sequence whose blockers only accumulate (the k-induction
+        loop) may use this; the node's cone joins every later question's
+        cone, since its clause is not a definition."""
+        self.add((self.is_one(e) ^ 1,))
+        self.blocked.append(e)
+        self._walk((e,), *self._held)
+
+    def cone(self, roots) -> tuple[list[int], list]:
+        """``(variables, keys)``: the CNF variables of every node below
+        *roots* or a permanent blocker, and the free-variable keys among
+        them (each once)."""
+        held_vars, held_keys, held_ids = self._held
+        out, keys = list(held_vars), dict(held_keys)
+        self._walk(roots, out, keys, set(held_ids))
+        return out, list(keys)
+
+    def _walk(self, roots, out: list, keys: dict, seen: set) -> None:
+        """Add the variables and keys below *roots* not yet *seen*."""
+        rails, info = self.rails, self._info
+        stack = list(roots)
+        while stack:
+            e = stack.pop()
+            if id(e) in seen:
+                continue
+            seen.add(id(e))
+            _, vs, kids = info[id(e)]
+            if e[0] != "var":
+                out.extend(vs)
+                stack.extend(kids)
+            elif e[1] not in keys:
+                # Copies of one key share its variables (see _node).
+                keys[e[1]] = None
+                l0, l1, _ = rails[id(e)]
+                v0, v1 = l0 >> 1, l1 >> 1
+                if v1 > 1:
+                    out.append(v1)
+                if v0 > 1 and v0 != v1:
+                    out.append(v0)
+
+    # -- one question ---------------------------------------------------------
+
+    def solve(self, targets, blockers=(), *, budget: int = 20_000,
+              stats=None):
+        """One question: an assignment under which every target is 1
+        and no blocker (nor any permanent one) is.  Returns
+        :class:`~repro.formal.solver.Sat` with a partial witness,
+        :class:`~repro.formal.solver.Unsat`, or
+        :class:`~repro.formal.solver.Unknown` after more than *budget*
+        conflicts."""
+        targets = tuple(targets)
+        blockers = tuple(blockers)
+        assumptions = [self.is_one(t) for t in targets]
+        assumptions += [self.is_one(b) ^ 1 for b in blockers]
+        held = blockers + tuple(self.blocked)
+        cone, keys = self.cone(targets + held)
+        status, model, conflicts, decisions = self.search(
+            assumptions, cone, budget)
+        if stats is not None:
+            stats.sat_calls += 1
+            stats.nodes += conflicts
+            stats.decisions += decisions
+            if status is None:
+                stats.budget_exhausted = True
+        if status is None:
+            return Unknown(f"conflict budget of {budget} exhausted")
+        if not status:
+            return Unsat()
+        var_rails = self.var_rails
+        asn = {}
+        for key in keys:
+            l0, l1, _ = var_rails[key]
+            asn[key] = rails_value(model, l0, l1)
+        return Sat(minimize(asn, targets, held, _is_state))
+
+    def _restart(self) -> None:
+        """Back to level 0, then attach the clauses added since."""
+        trail, lim = self.trail, self.lim
+        if lim:
+            stop = lim[0]
+            val, reason, phase = self.val, self.reason, self.phase
+            for lit in trail[stop:]:
+                val[lit] = val[lit ^ 1] = 0
+                reason[lit >> 1] = None
+                phase[lit >> 1] = lit & 1
+            del trail[stop:]
+            lim.clear()
+            self.qhead = stop
+        grow = self.nvars + 1 - len(self.level)
+        if grow > 0:
+            self.val.extend([0] * (2 * grow))
+            self.watches.extend([[] for _ in range(2 * grow)])
+            self.bins.extend([[] for _ in range(2 * grow)])
+            self.level.extend([0] * grow)
+            self.reason.extend([None] * grow)
+            self.act.extend([0.0] * grow)
+            self.phase.extend([1] * grow)
+            self.seen.extend([False] * grow)
+            self.stamp.extend([0] * grow)
+        val, watches, bins = self.val, self.watches, self.bins
+        for c in self._new:
+            if any(val[lit] == 1 for lit in c):
+                continue  # satisfied for good
+            c = [lit for lit in c if not val[lit]]
+            if len(c) > 2:
+                watches[c[0]].append(c)
+                watches[c[1]].append(c)
+                self.clauses.append(c)
+            elif len(c) == 2:
+                bins[c[0]].append(c[1])
+                bins[c[1]].append(c[0])
+                self.clauses.append(c)
+            elif c:
+                val[c[0]] = 1
+                val[c[0] ^ 1] = -1
+                self.level[c[0] >> 1] = 0
+                trail.append(c[0])
+            else:
+                self.unsat = True
+        self._new.clear()
+
+    def search(self, assumptions, cone, budget: int) -> tuple:
+        """CDCL under *assumptions* (literals decided first, in order),
+        deciding only the variables in *cone*.  Returns ``(status,
+        model, conflicts, decisions)``: status True (SAT; ``model[lit]``
+        is 1 for true literals, valid until the next call), False (UNSAT
+        under the assumptions) or None (more than *budget* conflicts).
+        Assumptions are not counted as decisions."""
+        self._restart()
+        if self.unsat:
+            return False, None, 0, 0
+        val, level, reason = self.val, self.level, self.reason
+        act, phase, seen, stamp = self.act, self.phase, self.seen, self.stamp
+        watches, bins = self.watches, self.bins
+        trail, lim = self.trail, self.lim
+        learnts = self.learnts
+        nvars = self.nvars
+        self._questions += 1
+        qid = self._questions
+        for v in cone:
+            stamp[v] = qid
+        heap = [(-act[v], v) for v in cone if not val[2 * v]]
+        heapq.heapify(heap)
+        nassume = len(assumptions)
+        conflicts = decisions = 0
+        qhead = self.qhead
+        inc = self.inc
+
+        def enqueue(lit, why) -> None:
+            val[lit] = 1
+            val[lit ^ 1] = -1
+            var = lit >> 1
+            level[var] = len(lim)
+            reason[var] = why
+            trail.append(lit)
+
+        def propagate():
+            nonlocal qhead
+            while qhead < len(trail):
+                p = trail[qhead]
+                qhead += 1
+                f = p ^ 1
+                dl = len(lim)
+                for y in bins[f]:
+                    vy = val[y]
+                    if vy == 1:
+                        continue
+                    if vy == -1:
+                        return [y, f]
+                    val[y] = 1
+                    val[y ^ 1] = -1
+                    level[y >> 1] = dl
+                    reason[y >> 1] = f
+                    trail.append(y)
+                ws = watches[f]
+                if not ws:
+                    continue
+                kept: list = []
+                watches[f] = kept
+                i, n = 0, len(ws)
+                while i < n:
+                    c = ws[i]
+                    i += 1
+                    first = c[0]
+                    if first == f:
+                        first = c[0] = c[1]
+                        c[1] = f
+                    if val[first] == 1:
+                        kept.append(c)
+                        continue
+                    for k in range(2, len(c)):
+                        lk = c[k]
+                        if val[lk] != -1:
+                            c[1] = lk
+                            c[k] = f
+                            watches[lk].append(c)
+                            break
+                    else:
+                        kept.append(c)
+                        if val[first] == -1:
+                            kept.extend(ws[i:])
+                            qhead = len(trail)
+                            return c
+                        val[first] = 1
+                        val[first ^ 1] = -1
+                        level[first >> 1] = dl
+                        reason[first >> 1] = c
+                        trail.append(first)
+            return None
+
+        def cancel(to: int) -> None:
+            nonlocal qhead
+            if len(lim) <= to:
+                return
+            stop = lim[to]
+            for lit in trail[stop:]:
+                var = lit >> 1
+                val[lit] = val[lit ^ 1] = 0
+                reason[var] = None
+                phase[var] = lit & 1
+                if stamp[var] == qid:
+                    heapq.heappush(heap, (-act[var], var))
+            del trail[stop:]
+            del lim[to:]
+            qhead = stop
+
+        def analyze(confl) -> tuple[list, int]:
+            nonlocal inc
+            learnt = [0]
+            dl = len(lim)
+            pending = 0
+            idx = len(trail) - 1
+            lits = confl
+            p = -1
+            while True:
+                for q in lits:
+                    var = q >> 1
+                    if not seen[var] and level[var] > 0:
+                        seen[var] = True
+                        act[var] += inc
+                        if level[var] >= dl:
+                            pending += 1
+                        else:
+                            learnt.append(q)
+                while not seen[trail[idx] >> 1]:
+                    idx -= 1
+                p = trail[idx]
+                idx -= 1
+                var = p >> 1
+                seen[var] = False
+                pending -= 1
+                if pending == 0:
+                    break
+                why = reason[var]
+                lits = (why,) if isinstance(why, int) else why[1:]
+            learnt[0] = p ^ 1
+            for q in learnt[1:]:
+                seen[q >> 1] = False
+            inc *= 1.05
+            if inc > 1e100:
+                for v in range(nvars + 1):
+                    act[v] *= 1e-100
+                inc *= 1e-100
+            back = 0
+            if len(learnt) > 1:
+                best = 1
+                for j in range(2, len(learnt)):
+                    if level[learnt[j] >> 1] > level[learnt[best] >> 1]:
+                        best = j
+                learnt[1], learnt[best] = learnt[best], learnt[1]
+                back = level[learnt[1] >> 1]
+            return learnt, back
+
+        try:
+            if propagate() is not None:
+                self.unsat = True
+                return False, None, 0, 0
+            restarts = 0
+            next_restart = 64
+            while True:
+                confl = propagate()
+                if confl is not None:
+                    if not lim:
+                        self.unsat = True
+                        return False, None, conflicts, decisions
+                    conflicts += 1
+                    if conflicts > budget:
+                        return None, None, conflicts, decisions
+                    learnt, back = analyze(confl)
+                    cancel(back)
+                    if len(heap) > 4 * len(cone):
+                        heap = [(-act[v], v) for v in cone if not val[2 * v]]
+                        heapq.heapify(heap)
+                    if len(learnt) == 1:
+                        enqueue(learnt[0], None)
+                    elif len(learnt) == 2:
+                        bins[learnt[0]].append(learnt[1])
+                        bins[learnt[1]].append(learnt[0])
+                        enqueue(learnt[0], learnt[1])
+                    else:
+                        watches[learnt[0]].append(learnt)
+                        watches[learnt[1]].append(learnt)
+                        learnts.append(learnt)
+                        enqueue(learnt[0], learnt)
+                    continue
+                if conflicts >= next_restart:
+                    restarts += 1
+                    next_restart = conflicts + 64 * _luby(restarts)
+                    cancel(0)
+                    if len(learnts) > len(self.clauses) // 3 + \
+                            self.max_learnts:
+                        learnts = self.learnts = _reduce(
+                            learnts, self.clauses, watches)
+                        self.max_learnts = int(self.max_learnts * 1.1)
+                lit = 0
+                while len(lim) < nassume:
+                    p = assumptions[len(lim)]
+                    if val[p] == 1:
+                        lim.append(len(trail))  # already holds: empty level
+                    elif val[p] == -1:
+                        return False, None, conflicts, decisions
+                    else:
+                        lit = p
+                        break
+                if not lit:
+                    var = 0
+                    while heap:
+                        key, v = heapq.heappop(heap)
+                        if not val[2 * v] and -key == act[v]:
+                            var = v
+                            break
+                    if not var:
+                        # Stale heap entries may hide a free variable:
+                        # rescan the cone once.
+                        free = [v for v in cone if not val[2 * v]]
+                        if not free:
+                            return True, val, conflicts, decisions
+                        heap = [(-act[v], v) for v in free]
+                        heapq.heapify(heap)
+                        continue
+                    decisions += 1
+                    lit = 2 * var + phase[var]
+                lim.append(len(trail))
+                enqueue(lit, None)
+        finally:
+            self.qhead = qhead
+            self.inc = inc
+
 
 def _bus_mask(pairs) -> int:
     """A superset of the values a bus over these drivers can take."""
@@ -422,11 +821,6 @@ def _bus_mask(pairs) -> int:
     return mask
 
 
-# ---------------------------------------------------------------------------
-# The CDCL search.
-# ---------------------------------------------------------------------------
-
-
 def _luby(i: int) -> int:
     """The i-th (0-based) element of the Luby sequence 1 1 2 1 1 2 4 ..."""
     size, seq = 1, 0
@@ -438,229 +832,6 @@ def _luby(i: int) -> int:
         seq -= 1
         i %= size
     return 1 << seq
-
-
-def search(cnf: Cnf, budget: int) -> tuple:
-    """CDCL over *cnf*.  Returns ``(status, model, conflicts,
-    decisions)``: status True (SAT; ``model[lit]`` is 1 for true
-    literals), False (UNSAT) or None (more than *budget* conflicts)."""
-    if cnf.unsat:
-        return False, None, 0, 0
-    nvars = cnf.nvars
-    n2 = 2 * nvars + 2
-    val = [0] * n2          # per literal: 1 true, -1 false, 0 free
-    level = [0] * (nvars + 1)
-    reason: list = [None] * (nvars + 1)
-    act = [0.0] * (nvars + 1)
-    phase = [1] * (nvars + 1)   # preferred sign: 1 = negative
-    watches: list[list] = [[] for _ in range(n2)]
-    bins: list[list] = [[] for _ in range(n2)]
-    trail: list[int] = []
-    lim: list[int] = []
-    learnts: list[list] = []
-    conflicts = decisions = 0
-    for c in cnf.clauses:
-        if len(c) == 2:
-            bins[c[0]].append(c[1])
-            bins[c[1]].append(c[0])
-        else:
-            watches[c[0]].append(c)
-            watches[c[1]].append(c)
-
-    def enqueue(lit, why) -> bool:
-        v = val[lit]
-        if v:
-            return v == 1
-        val[lit] = 1
-        val[lit ^ 1] = -1
-        var = lit >> 1
-        level[var] = len(lim)
-        reason[var] = why
-        trail.append(lit)
-        return True
-
-    qhead = 0
-
-    def propagate():
-        nonlocal qhead
-        while qhead < len(trail):
-            p = trail[qhead]
-            qhead += 1
-            f = p ^ 1
-            dl = len(lim)
-            for y in bins[f]:
-                vy = val[y]
-                if vy == 1:
-                    continue
-                if vy == -1:
-                    return [y, f]
-                val[y] = 1
-                val[y ^ 1] = -1
-                level[y >> 1] = dl
-                reason[y >> 1] = f
-                trail.append(y)
-            ws = watches[f]
-            if not ws:
-                continue
-            kept: list = []
-            watches[f] = kept
-            i, n = 0, len(ws)
-            while i < n:
-                c = ws[i]
-                i += 1
-                first = c[0]
-                if first == f:
-                    first = c[0] = c[1]
-                    c[1] = f
-                if val[first] == 1:
-                    kept.append(c)
-                    continue
-                for k in range(2, len(c)):
-                    lk = c[k]
-                    if val[lk] != -1:
-                        c[1] = lk
-                        c[k] = f
-                        watches[lk].append(c)
-                        break
-                else:
-                    kept.append(c)
-                    if val[first] == -1:
-                        kept.extend(ws[i:])
-                        qhead = len(trail)
-                        return c
-                    val[first] = 1
-                    val[first ^ 1] = -1
-                    level[first >> 1] = dl
-                    reason[first >> 1] = c
-                    trail.append(first)
-        return None
-
-    heap = [(0.0, v) for v in range(2, nvars + 1)]
-    inc = 1.0
-
-    def cancel(to: int) -> None:
-        nonlocal qhead
-        if len(lim) <= to:
-            return
-        stop = lim[to]
-        for lit in trail[stop:]:
-            var = lit >> 1
-            val[lit] = val[lit ^ 1] = 0
-            reason[var] = None
-            phase[var] = lit & 1
-            heapq.heappush(heap, (-act[var], var))
-        del trail[stop:]
-        del lim[to:]
-        qhead = stop
-
-    seen = [False] * (nvars + 1)
-
-    def analyze(confl) -> tuple[list, int]:
-        nonlocal inc
-        learnt = [0]
-        dl = len(lim)
-        pending = 0
-        idx = len(trail) - 1
-        lits = confl
-        p = -1
-        while True:
-            for q in lits:
-                var = q >> 1
-                if not seen[var] and level[var] > 0:
-                    seen[var] = True
-                    act[var] += inc
-                    if level[var] >= dl:
-                        pending += 1
-                    else:
-                        learnt.append(q)
-            while not seen[trail[idx] >> 1]:
-                idx -= 1
-            p = trail[idx]
-            idx -= 1
-            var = p >> 1
-            seen[var] = False
-            pending -= 1
-            if pending == 0:
-                break
-            why = reason[var]
-            lits = (why,) if isinstance(why, int) else why[1:]
-        learnt[0] = p ^ 1
-        for q in learnt[1:]:
-            seen[q >> 1] = False
-        inc *= 1.05
-        if inc > 1e100:
-            for v in range(nvars + 1):
-                act[v] *= 1e-100
-            inc *= 1e-100
-        back = 0
-        if len(learnt) > 1:
-            best = 1
-            for j in range(2, len(learnt)):
-                if level[learnt[j] >> 1] > level[learnt[best] >> 1]:
-                    best = j
-            learnt[1], learnt[best] = learnt[best], learnt[1]
-            back = level[learnt[1] >> 1]
-        return learnt, back
-
-    for lit in cnf.units:
-        if not enqueue(lit, None):
-            return False, None, 0, 0
-    if propagate() is not None:
-        return False, None, 0, 0
-
-    restarts = 0
-    next_restart = 64
-    max_learnts = len(cnf.clauses) // 3 + 2000
-    while True:
-        confl = propagate()
-        if confl is not None:
-            if not lim:
-                return False, None, conflicts, decisions
-            conflicts += 1
-            if conflicts > budget:
-                return None, None, conflicts, decisions
-            learnt, back = analyze(confl)
-            cancel(back)
-            if len(heap) > 4 * nvars:
-                heap = [(-act[v], v) for v in range(2, nvars + 1)
-                        if not val[2 * v]]
-                heapq.heapify(heap)
-            if len(learnt) == 1:
-                enqueue(learnt[0], None)
-            elif len(learnt) == 2:
-                bins[learnt[0]].append(learnt[1])
-                bins[learnt[1]].append(learnt[0])
-                enqueue(learnt[0], learnt[1])
-            else:
-                watches[learnt[0]].append(learnt)
-                watches[learnt[1]].append(learnt)
-                learnts.append(learnt)
-                enqueue(learnt[0], learnt)
-            continue
-        if conflicts >= next_restart:
-            restarts += 1
-            next_restart = conflicts + 64 * _luby(restarts)
-            cancel(0)
-            if len(learnts) > max_learnts:
-                learnts = _reduce(learnts, cnf.clauses, watches)
-                max_learnts = int(max_learnts * 1.1)
-        var = 0
-        while heap:
-            key, v = heapq.heappop(heap)
-            if not val[2 * v] and -key == act[v]:
-                var = v
-                break
-        if not var:
-            # Stale heap entries may hide a free variable: rescan once.
-            free = [v for v in range(2, nvars + 1) if not val[2 * v]]
-            if not free:
-                return True, val, conflicts, decisions
-            heap = [(-act[v], v) for v in free]
-            heapq.heapify(heap)
-            continue
-        decisions += 1
-        lim.append(len(trail))
-        enqueue(2 * var + phase[var], None)
 
 
 def _reduce(learnts: list, clauses: list, watches: list) -> list:

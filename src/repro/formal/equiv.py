@@ -35,9 +35,9 @@ from .report import Counterexample, ProofReport, PropertyResult
 from .solver import (
     ExprFactory,
     Sat,
+    Solver,
     SolverStats,
     Unknown,
-    solve,
 )
 
 
@@ -170,6 +170,7 @@ def _equiv_into(a, b, cfg: FormalConfig, report: ProofReport) -> None:
 
     sequential = bool(a.netlist.regs) or bool(b.netlist.regs)
     depth = cfg.depth if sequential else 0
+    solver = Solver()
     clean_to = -1
     for t in range(depth + 1):
         try:
@@ -180,7 +181,7 @@ def _equiv_into(a, b, cfg: FormalConfig, report: ProofReport) -> None:
                                              reason=str(exc))]
             return
         for expr in obligations:
-            match solve((expr,), budget=cfg.budget, stats=stats):
+            match solver.solve((expr,), budget=cfg.budget, stats=stats):
                 case Unknown():
                     report.results = [PropertyResult(
                         "equivalent", "unknown", "bmc", clean_to,
@@ -229,7 +230,10 @@ def _refute(a, b, out_names, ins: dict, enc_a: Encoder, enc_b: Encoder,
                    f"({len(uncontrolled)} RANDOM variable(s)); "
                    "no replayable stimulus")
     frames = _shared_trace(witness, t, ins, [enc_a, enc_b])
-    confirmed, detail = replay_equiv(a, b, out_names, frames)
+    # A run replays at most once: one simulator per circuit.
+    confirmed, detail = replay_equiv(a.simulator(strict=False),
+                                     b.simulator(strict=False),
+                                     out_names, frames)
     cex = Counterexample(t, frames, confirmed, detail)
     if not confirmed:
         return PropertyResult(

@@ -8,6 +8,9 @@ mismatch must actually occur — the same witness-replay discipline the
 PR-3 lint prover established.  A trace that does not reproduce
 downgrades the verdict to UNKNOWN with the replay detail attached, so a
 solver bug can never surface as a confirmed refutation.
+
+A verification run replays through a :class:`Replayer`: one simulator
+per circuit, reset to the state of a fresh one before each replay.
 """
 
 from __future__ import annotations
@@ -15,17 +18,37 @@ from __future__ import annotations
 from ..core.values import Logic
 
 
+class Replayer:
+    """The replay simulators of one verification run: one lenient
+    simulator per circuit, built on first use.  :meth:`fresh` hands it
+    out in the state of a new one (registers UNDEF, no pokes, no
+    violations, the seed-0 RANDOM stream)."""
+
+    def __init__(self):
+        self._sims: dict[int, tuple] = {}
+
+    def fresh(self, circuit):
+        held = self._sims.get(id(circuit))
+        if held is None:
+            sim = circuit.simulator(strict=False)
+            self._sims[id(circuit)] = (circuit, sim)
+            return sim
+        sim = held[1]
+        sim.reset_state()
+        sim.rng.seed(0)
+        return sim
+
+
 def _poke_frame(sim, frame: dict[str, list[int]]) -> None:
     for path, bits in frame.items():
         sim.poke(path, [Logic.from_bit(b) for b in bits])
 
 
-def replay_property(circuit, prop: str,
+def replay_property(sim, prop: str,
                     frames: list[dict[str, list[int]]]) -> tuple[bool, str]:
-    """Replay a BMC counterexample for *prop*; returns
-    ``(confirmed, detail)``.  The violation is checked at the final
-    frame's cycle (the cycle the solver refuted)."""
-    sim = circuit.simulator(strict=False)
+    """Replay a BMC counterexample for *prop* on a fresh simulator;
+    returns ``(confirmed, detail)``.  The violation is checked at the
+    final frame's cycle (the cycle the solver refuted)."""
     for frame in frames:
         _poke_frame(sim, frame)
         sim.step()
@@ -53,14 +76,12 @@ def replay_property(circuit, prop: str,
     return False, f"cannot replay property kind {kind!r}"
 
 
-def replay_equiv(a, b, outs: list[str],
+def replay_equiv(sim_a, sim_b, outs: list[str],
                  frames: list[dict[str, list[int]]]) -> tuple[bool, str]:
-    """Replay an equivalence counterexample against both circuits;
-    returns ``(confirmed, detail)``.  Both simulators receive the same
-    pokes (interface paths are shared); any OUT-pin difference at the
-    final cycle confirms the mismatch."""
-    sim_a = a.simulator(strict=False)
-    sim_b = b.simulator(strict=False)
+    """Replay an equivalence counterexample on fresh simulators of both
+    circuits; returns ``(confirmed, detail)``.  Both simulators receive
+    the same pokes (interface paths are shared); any OUT-pin difference
+    at the final cycle confirms the mismatch."""
     for frame in frames:
         _poke_frame(sim_a, frame)
         _poke_frame(sim_b, frame)

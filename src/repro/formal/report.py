@@ -28,8 +28,8 @@ and :func:`validate_proof_report` is its executable definition:
     }
 
 ``solver.clauses`` counts distinct interned expression nodes — the
-structural-sharing measure of the encoding's size (the dual-rail CNF
-the solver builds from them is per SAT question).  ``solver.nodes``
+structural-sharing measure of the encoding's size (each solver of the
+run encodes a node once).  ``solver.nodes``
 counts CDCL conflicts, the unit ``config.budget`` bounds per question;
 ``solver.decisions`` counts branch decisions.  Every counterexample carries a full primary-input stimulus
 (``frames[t]`` is poked before cycle ``t``) and the outcome of

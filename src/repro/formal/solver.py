@@ -53,8 +53,9 @@ still depends on unassigned variables; everything short-circuits exactly
 like the section-8 firing rules.  A value it does return holds under
 every completion of the assignment.
 
-The search (:mod:`repro.formal.cdcl`).  :func:`solve` encodes the DAG
-below its targets and blockers as CNF with two booleans per node, in
+The search (:mod:`repro.formal.cdcl`).  A
+:class:`~repro.formal.cdcl.Solver` encodes the DAG below its
+questions' targets and blockers as CNF with two booleans per node, in
 the lane kernel's plane convention: ``p0`` = "may be 0", ``p1`` = "may
 be 1", so NOINFL is 00 and UNDEF is 11.  Gate, amplifier, latch,
 comparator and ``isundef`` clauses are the prime implicates of each
@@ -62,14 +63,16 @@ node's truth table over its children's value domains (n-ary gates and
 multi-position EQUAL are split into binary nodes first; the split is
 exact over {0, 1, UNDEF}); ``bus`` and ``conflict`` are encoded
 structurally, linear in their driver count; constants are unit clauses.
-A target must be exactly 1 and a blocker anything but 1.  A CDCL search
-(watched literals, first-UIP learning, VSIDS over every variable,
-restarts) decides the CNF.  Its budget counts *conflicts*, and so does
-:attr:`SolverStats.nodes`.  A SAT model is cut down to a partial
-witness: every variable :func:`eval_expr` does not need to settle each
-target to 1 and each blocker off 1 is unassigned, RANDOM and register
-variables first, so a witness names as little uncontrollable state as
-it can.
+A target must be exactly 1 and a blocker anything but 1; both are
+assumptions of one question, so a run keeps one solver, encodes each
+node once and asks it every question.  A CDCL search (watched
+literals, first-UIP learning, VSIDS over the question's cone, restarts)
+decides each question.  Its budget counts *conflicts* per question,
+and so does :attr:`SolverStats.nodes`.  A SAT model is cut down to a
+partial witness: every variable :func:`eval_expr` does not need to
+settle each target to 1 and each blocker off 1 is unassigned, RANDOM
+and register variables first, so a witness names as little
+uncontrollable state as it can.
 
 Soundness notes.  The gate/bus/latch/amp fragment is Kleene-monotone:
 an expression that evaluates to 1 under a partial two-valued assignment
@@ -618,7 +621,9 @@ def solve(targets, blockers=(), *, budget: int = 20_000,
           domains: dict | None = None,
           stats: SolverStats | None = None) -> Sat | Unsat | Unknown:
     """Search for an assignment under which every *target* evaluates to
-    1 and no *blocker* does.
+    1 and no *blocker* does: one question on a fresh
+    :class:`~repro.formal.cdcl.Solver` (a verification run keeps one
+    solver and asks it every question instead).
 
     Returns :class:`Sat` with a partial witness (every target settles
     to 1 and every blocker off 1 under :func:`eval_expr`), :class:`Unsat`
@@ -631,38 +636,11 @@ def solve(targets, blockers=(), *, budget: int = 20_000,
     bad in frame k (target)".  The variables are read off the
     expressions.
     """
-    targets = tuple(targets)
-    blockers = tuple(blockers)
-    cnf = _cdcl.Cnf(domains)
-    for t in targets:
-        l0, l1, _ = cnf.encode(t)
-        cnf.add((l1,))
-        cnf.add((l0 ^ 1,))
-    for b in blockers:
-        l0, l1, _ = cnf.encode(b)
-        cnf.add((l1 ^ 1, l0))
-    status, model, conflicts, decisions = _cdcl.search(cnf, budget)
-    if stats is not None:
-        stats.sat_calls += 1
-        stats.nodes += conflicts
-        stats.decisions += decisions
-        if status is None:
-            stats.budget_exhausted = True
-    if status is None:
-        return Unknown(f"conflict budget of {budget} exhausted")
-    if not status:
-        return Unsat()
-    asn = {key: _cdcl.rails_value(model, l0, l1)
-           for key, (l0, l1, _) in cnf.var_rails.items()}
-    return Sat(_cdcl.minimize(asn, targets, blockers, _is_state))
+    return _cdcl.Solver(domains).solve(targets, blockers, budget=budget,
+                                       stats=stats)
 
 
-def cosat(ga: tuple, gb: tuple, *, budget: int = 20_000,
-          stats: SolverStats | None = None) -> Sat | Unsat | Unknown:
-    """Search for an assignment with ``ga = gb = 1`` (the PR-3 prover's
-    co-satisfiability question, kept as the lint-facing entry point)."""
-    return solve((ga, gb), budget=budget, stats=stats)
-
-
-# The search builds on the evaluator and node traversal defined above.
+# The search builds on the evaluator, node traversal and outcomes
+# defined above.
 from . import cdcl as _cdcl  # noqa: E402
+from .cdcl import Solver  # noqa: E402,F401

@@ -117,28 +117,12 @@ def comb_cycle_pass(ctx: ClassView, config: LintConfig) -> list[Finding]:
 
 
 def write_only_pass(ctx: ClassView, config: LintConfig) -> list[Finding]:
-    """Locally declared signals that are assigned but never read.
-    OUT/INOUT ports are excluded (driving them *is* their purpose), and
-    ``==``-aliased nets are reported once per alias class."""
-    findings = []
-    for ci in sorted(ctx.driven - ctx.readers):
-        if ctx.is_output[ci] or ctx.is_input[ci]:
-            continue
-        roles = ctx.roles[ci]
-        if roles & {"formal_out", "pin_out", "formal_inout", "pin_inout"}:
-            continue
-        display = ctx.display[ci]
-        if display.startswith("$"):
-            continue  # synthetic helper nets never warn
-        if ci in ctx.reg_q_of:
-            what = f"register output {display!r}"
-        else:
-            what = f"signal {display!r}"
-        findings.append(Finding(
-            WRITE_ONLY.name, Severity.WARNING,
-            f"{what} is assigned but never read",
-            ctx.span_of(ci), display))
-    return findings
+    """Locally declared signals that are assigned but never read
+    (:meth:`~repro.core.view.ClassView.write_only`: ports, ``==``-alias
+    duplicates and synthetic nets excluded)."""
+    return [Finding(WRITE_ONLY.name, Severity.WARNING, message,
+                    ctx.span_of(ci), ctx.display[ci])
+            for ci, message in ctx.write_only()]
 
 
 def dead_driver_pass(ctx: ClassView, config: LintConfig) -> list[Finding]:

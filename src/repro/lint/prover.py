@@ -27,7 +27,9 @@ The proof engine layers three techniques over the guard cones:
    constants -- the shape the elaborator emits for ``x[NUM(a)]``);
 3. a **SAT query** on the shared clause-learning core: can both guards
    be 1 at once?  Within a conflict budget it answers UNSAT
-   (exclusive) or a witness over the union support.
+   (exclusive) or a witness over the union support.  One prover keeps
+   one solver, so a guard cone is encoded once however many pairs
+   share it.
 
 The cone extraction, four-valued evaluation and search live in the
 shared solver core (:mod:`repro.formal.solver`) -- the same engine the
@@ -46,10 +48,10 @@ from ..core.values import Logic
 from ..core.view import ClassView, DriverInfo
 from ..formal.solver import (
     ConeBuilder,
+    Solver,
     Unknown,
     Unsat,
     and_factors,
-    cosat,
     equal_const_map as _equal_const_map,
     eval_expr,
     literal_of as _literal,
@@ -141,11 +143,14 @@ class Prover:
         self.builder = ConeBuilder(ctx)
         self._drives_memo: dict[int, bool] = {}
         #: Solver outcomes per guard expression (guard_can_fire) and
-        #: per guard pair (classify_pair), keyed by identity (the cone
+        #: per guard pair (classify_pair), and each guard's structural
+        #: analysis (:meth:`_facts`), keyed by identity (the cone
         #: builder keeps every guard alive): drivers that share an
         #: enable net, like every bit of a memory word, ask once.
         self._fire_memo: dict[int, bool | None] = {}
         self._pair_memo: dict[tuple[int, int], object] = {}
+        self._facts_memo: dict[int, tuple] = {}
+        self._solver = Solver()
 
     # -- guard expressions ---------------------------------------------------
 
@@ -169,10 +174,10 @@ class Prover:
         return self._fire_memo[id(g)]
 
     def _can_fire(self, g: tuple) -> bool | None:
-        folded = eval_expr(g, {})
+        folded, _, _, _, _, support = self._facts(g)
         if folded is not None:
             return folded == 1
-        if len(self.builder.support(g)) > self.config.prover_max_support:
+        if len(support) > self.config.prover_max_support:
             return None
         match self._cosat(g, _TRUE):
             case Unknown():
@@ -221,11 +226,25 @@ class Prover:
 
     # -- pair classification -------------------------------------------------
 
+    def _facts(self, g: tuple) -> tuple:
+        """``(fold, AND-factors, factor set, literals, one-hot maps,
+        support)`` of one guard, computed once per guard identity."""
+        hit = self._facts_memo.get(id(g))
+        if hit is None:
+            factors = and_factors(g)
+            hit = self._facts_memo[id(g)] = (
+                eval_expr(g, {}), factors, set(factors),
+                {lit for f in factors if (lit := _literal(f))},
+                [m for f in factors if (m := _equal_const_map(f))],
+                frozenset(self.builder.support(g)))
+        return hit
+
     def classify_pair(self, da: DriverInfo, db: DriverInfo) -> PairVerdict:
         ga, gb = self.guard_expr(da), self.guard_expr(db)
+        fa, factors_a, set_a, lits_a, eq_maps_a, support_a = self._facts(ga)
+        fb, factors_b, _, lits_b, eq_maps_b, support_b = self._facts(gb)
 
         # 1. constant folding.
-        fa, fb = eval_expr(ga, {}), eval_expr(gb, {})
         for f in (fa, fb):
             if f == 0:
                 return PairVerdict(da.index, db.index, "exclusive",
@@ -237,9 +256,6 @@ class Prover:
                     "the runtime multi-driver check never counts it)")
 
         # 2a. complementary literals across the AND-factors.
-        factors_a, factors_b = and_factors(ga), and_factors(gb)
-        lits_a = {lit for f in factors_a if (lit := _literal(f))}
-        lits_b = {lit for f in factors_b if (lit := _literal(f))}
         for key, pol in lits_a:
             if (key, not pol) in lits_b:
                 name = self._var_name(key)
@@ -247,7 +263,6 @@ class Prover:
                     da.index, db.index, "exclusive",
                     f"complementary literals on {name!r}")
         # ... and structural complements of whole factors (c vs NOT c).
-        set_a = set(factors_a)
         for f in factors_b:
             complementary = (
                 (f[0] == "gate" and f[1] == "NOT" and f[2][0] in set_a)
@@ -259,8 +274,6 @@ class Prover:
 
         # 2b. one-hot decode: EQUAL over the same selector, different
         # constants (the x[NUM(sel)] shape).
-        eq_maps_a = [m for f in factors_a if (m := _equal_const_map(f))]
-        eq_maps_b = [m for f in factors_b if (m := _equal_const_map(f))]
         for ma in eq_maps_a:
             for mb in eq_maps_b:
                 for expr_key, ca in ma.items():
@@ -272,8 +285,7 @@ class Prover:
                             "with different constants")
 
         # 3. SAT query over the union support.
-        support = sorted(set(self.builder.support(ga))
-                         | set(self.builder.support(gb)))
+        support = support_a | support_b
         if len(support) > self.config.prover_max_support:
             return PairVerdict(
                 da.index, db.index, "unknown",
@@ -315,9 +327,9 @@ class Prover:
             "both drivers enabled under the witness assignment", named)
 
     def _cosat(self, ga: tuple, gb: tuple):
-        """Search for an assignment with ga = gb = 1 on the shared
-        solver core: Sat, Unsat or Unknown."""
-        return cosat(ga, gb, budget=self.config.prover_budget)
+        """Search for an assignment with ga = gb = 1 on the prover's
+        solver: Sat, Unsat or Unknown."""
+        return self._solver.solve((ga, gb), budget=self.config.prover_budget)
 
     def _var_name(self, key: tuple) -> str:
         if key[0] == "net":

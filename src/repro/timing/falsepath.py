@@ -7,7 +7,9 @@ must hold its non-controlling value, every multiplex arm on the path
 must be the one enabled — as expressions over the shared solver cone
 builder (:class:`repro.formal.solver.ConeBuilder`, the exact encoder
 the lint driver-exclusivity prover uses), and discharges them through
-the shared clause-learning core (:func:`repro.formal.solver.solve`):
+the shared clause-learning core (one
+:class:`~repro.formal.cdcl.Solver` per checker, so each cone is encoded
+once):
 
 * **UNSAT** (with every condition *exact*): no primary-input/register
   assignment sensitizes the path — it is proved false and demoted; the
@@ -15,7 +17,8 @@ the shared clause-learning core (:func:`repro.formal.solver.solve`):
 * **SAT**: the witness assignment is replayed through the real
   simulator, :mod:`repro.formal.replay`-style: two one-cycle runs with
   the startpoint poked 0 then 1 under the witness's side-input values
-  must flip the endpoint between two *defined* values.  Only a
+  must flip the endpoint between two *defined* values (both runs reuse
+  the checker's one replay simulator, reset in between).  Only a
   confirmed replay reports ``confirmed``; a witness that needs
   uncontrollable variables (register state, RANDOM, opaque cones)
   reports ``witness-unreplayed``.
@@ -34,13 +37,14 @@ from __future__ import annotations
 
 from ..core.values import Logic
 from ..formal.encode import input_groups
+from ..formal.replay import Replayer
 from ..formal.solver import (
     ConeBuilder,
     ExprFactory,
+    Solver,
     SolverStats,
     Unknown,
     Unsat,
-    solve,
 )
 from .paths import TimingPath
 
@@ -59,6 +63,8 @@ class PathChecker:
         self.f = ExprFactory()
         self.builder = ConeBuilder(ctx, max_nodes=max_cone)
         self.stats = SolverStats()
+        self.solver = Solver()
+        self.replayer = Replayer()
         self._may_float_memo: dict[int, bool] = {}
         #: input class -> (poke path, bit index, port width)
         self._input_map: dict[int, tuple[str, int, int]] = {}
@@ -193,7 +199,8 @@ class PathChecker:
             path.sensitization = "proved-false"
             path.reason = "a definite sibling driver poisons the path"
             return path
-        outcome = solve(conds, budget=self.budget, stats=self.stats)
+        outcome = self.solver.solve(conds, budget=self.budget,
+                                    stats=self.stats)
         match outcome:
             case Unknown():
                 path.sensitization = "assumed"
@@ -241,7 +248,7 @@ class PathChecker:
         values = {}  # endpoint value per startpoint polarity
         end_net = ctx.members[path.end][0]
         for bit in (0, 1):
-            sim = circuit.simulator(strict=False)
+            sim = self.replayer.fresh(circuit)
             frame: dict[str, list[int]] = {}
             for ci, (pp, pos, width) in self._input_map.items():
                 frame.setdefault(pp, [0] * width)
@@ -256,7 +263,7 @@ class PathChecker:
             for sig, bits in frame.items():
                 sim.poke(sig, [Logic.from_bit(b) for b in bits])
             sim.step()
-            v = sim.values[sim._idx(end_net)]
+            v = sim.current_values()[sim.view.idx(end_net)]
             if v is Logic.NOINFL or v is None:
                 v = Logic.UNDEF
             values[bit] = v

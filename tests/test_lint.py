@@ -3,7 +3,11 @@ the simulator's runtime multi-assignment check), the structural passes,
 suppression comments, the zeus.lint/1 report schema, and the CLI."""
 
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -281,6 +285,43 @@ SIGNAL u: t;
 """)
         messages = [d.message for d in circuit.diagnostics.warnings]
         assert any("assigned but never read" in m for m in messages)
+
+    def test_checker_and_lint_report_write_only_alike(self):
+        circuit = compile_lenient("""
+TYPE t = COMPONENT (IN a, clk: boolean; OUT y: boolean) IS
+    SIGNAL unused, spare: boolean;
+    SIGNAL r: REG;
+BEGIN
+    unused := a;
+    spare := NOT a;
+    r.in := a;
+    y := a
+END;
+SIGNAL u: t;
+""")
+        checker = [(d.message, d.span) for d in circuit.diagnostics.warnings
+                   if "assigned but never read" in d.message]
+        lint = [(f.message, f.span) for f in run_lint(circuit).findings
+                if f.rule == "write-only"]
+        assert len(checker) == 3
+        assert checker == lint
+
+    def test_compile_and_simulate_load_no_prover(self):
+        """The checker's write-only warning no longer pulls the lint
+        prover and the formal stack into every compile."""
+        probe = (
+            "import sys, repro\n"
+            "from repro.stdlib.programs import BLACKJACK\n"
+            "repro.compile_text(BLACKJACK).simulator().step()\n"
+            "loaded = [m for m in sys.modules\n"
+            "          if m.startswith('repro.formal')\n"
+            "          or m == 'repro.lint.prover']\n"
+            "assert not loaded, loaded\n"
+        )
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                       timeout=120)
 
     def test_dead_driver_constant_guard(self):
         report = lint_of("""

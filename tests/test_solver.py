@@ -1,8 +1,8 @@
 """The clause-learning core behind ``solve()``: its clause tables and
 structural encodings against the evaluator, its verdicts against the
-original case split, its witnesses, linear-time interning, and the
-budget sweep (a smaller conflict budget may only lose verdicts, never
-change them)."""
+original case split, its witnesses, one solver and one replay simulator
+per run, linear-time interning, and the budget sweep (a smaller
+conflict budget may only lose verdicts, never change them)."""
 
 import itertools
 import time
@@ -26,12 +26,14 @@ from repro.formal import (
     solve,
     support_of,
 )
-from repro.formal import bmc, equiv, solver
+from repro.core.simulator import Simulator
+from repro.formal import solver
+from repro.formal.replay import Replayer
+from repro.formal.solver import children_of
 from repro.lint import LintConfig, run_lint
 from repro.lint import LintContext
 from repro.stdlib.programs import ALL_PROGRAMS, ripple_carry
 from repro.timing import analyze_timing
-from repro.timing import falsepath
 
 from reference_solver import reference_solve
 
@@ -142,10 +144,12 @@ class TestGateTables:
 
 def _check_encoding(node, domains):
     """For every leaf assignment, unit propagation alone (no decision)
-    settles the node to the value the evaluator gives it."""
-    cnf = cdcl.Cnf(domains)
-    l0, l1, mask = cnf.encode(node)
-    units = list(cnf.units)
+    settles the node to the value the evaluator gives it.  One solver
+    encodes the node once; each assignment is a question whose leaf
+    rails are assumptions."""
+    s = cdcl.Solver(domains)
+    l0, l1, mask = s.encode(node)
+    cone, _ = s.cone((node,))
     leaves = sorted(domains)
     for vals in itertools.product(*(domains[k] for k in leaves)):
         asn = dict(zip(leaves, vals))
@@ -153,11 +157,10 @@ def _check_encoding(node, domains):
         assert mask & cdcl._BIT[want], (node, asn)
         pins = []
         for key, v in asn.items():
-            a0, a1, _ = cnf.var_rails[key]
+            a0, a1, _ = s.var_rails[key]
             p0, p1 = cdcl._RAILS[v]
             pins += [a0 ^ (1 - p0), a1 ^ (1 - p1)]
-        cnf.units = units + pins
-        status, model, _, decisions = cdcl.search(cnf, 0)
+        status, model, _, decisions = s.search(pins, cone, 0)
         assert status is True and decisions == 0, (node, asn)
         assert cdcl.rails_value(model, l0, l1) == want, (node, asn)
 
@@ -216,19 +219,20 @@ class TestStructuralEncodings:
 
 
 def _record_queries(monkeypatch, run):
-    """Run *run* with every solve() call recorded as (targets, blockers,
-    domains, outcome)."""
+    """Run *run* with every question a solver answers recorded as
+    (targets, blockers, domains, outcome); the blockers include the
+    solver's permanent ones."""
     calls = []
-    real = solver.solve
+    real = cdcl.Solver.solve
 
-    def recording(targets, blockers=(), **kw):
+    def recording(self, targets, blockers=(), **kw):
         targets, blockers = tuple(targets), tuple(blockers)
-        outcome = real(targets, blockers, **kw)
-        calls.append((targets, blockers, kw.get("domains"), outcome))
+        outcome = real(self, targets, blockers, **kw)
+        calls.append((targets, blockers + tuple(self.blocked),
+                      self.domains, outcome))
         return outcome
 
-    for module in (solver, bmc, equiv, falsepath):
-        monkeypatch.setattr(module, "solve", recording)
+    monkeypatch.setattr(cdcl.Solver, "solve", recording)
     run()
     return calls
 
@@ -334,6 +338,98 @@ SIGNAL u: t;
             witness = cdcl.minimize(dict(model), (target,), (),
                                     solver._is_state)
             assert witness == {("in", 0, 0): 1}
+
+
+# ---------------------------------------------------------------------------
+# One solver per run: encode once, ask under assumptions.
+# ---------------------------------------------------------------------------
+
+
+def _reachable(roots):
+    seen = {}
+    stack = list(roots)
+    while stack:
+        e = stack.pop()
+        if id(e) not in seen:
+            seen[id(e)] = e
+            stack.extend(children_of(e))
+    return seen
+
+
+class TestIncrementalSolver:
+    def test_questions_leave_no_trace(self):
+        f = ExprFactory()
+        a, b = f.var("a"), f.var("b")
+        both = f.gate("AND", (a, b))
+        s = cdcl.Solver()
+        assert s.solve((both,)) == Sat({"a": 1, "b": 1})
+        assert s.solve((both,), (both,)) == Unsat()
+        # Neither the last target nor the last blocker is a fact now.
+        assert s.solve((f.not_(a),)) == Sat({"a": 0})
+        assert s.solve((both,)) == Sat({"a": 1, "b": 1})
+
+    def test_permanent_blockers_join_every_cone(self):
+        f = ExprFactory()
+        a, b = f.var("a"), f.var("b")
+        s = cdcl.Solver()
+        s.add_blocker(f.gate("AND", (a, b)))
+        # b sits outside the target's cone, but the blocker pins it.
+        assert s.solve((a,)) == Sat({"a": 1, "b": 0})
+        assert s.solve((f.gate("AND", (a, b)),)) == Unsat()
+
+    @pytest.mark.parametrize("name", ["blackjack", "patternmatch"])
+    def test_each_node_is_encoded_once_per_solver(self, monkeypatch, name):
+        circuit = lenient(ALL_PROGRAMS[name], name=name)
+        encoded, asked = {}, {}
+        real_node, real_solve = cdcl.Solver._node, cdcl.Solver.solve
+
+        def node(self, e):
+            encoded.setdefault(id(self), (self, []))[1].append(id(e))
+            return real_node(self, e)
+
+        def solve_(self, targets, blockers=(), **kw):
+            targets, blockers = tuple(targets), tuple(blockers)
+            asked.setdefault(id(self), (self, []))[1].extend(
+                targets + blockers + tuple(self.blocked))
+            return real_solve(self, targets, blockers, **kw)
+
+        monkeypatch.setattr(cdcl.Solver, "_node", node)
+        monkeypatch.setattr(cdcl.Solver, "solve", solve_)
+        report = prove(circuit)
+        # One BMC solver for every property, one per induction loop.
+        assert any(r.method == "k-induction" for r in report.results)
+        assert len(asked) == 1 + sum(1 for r in report.results
+                                     if r.method == "k-induction")
+        assert encoded.keys() == asked.keys()
+        for key, (_solver, ids) in encoded.items():
+            assert len(ids) == len(set(ids))
+            assert len(ids) == len(_reachable(asked[key][1]))
+
+    @pytest.mark.parametrize("run", [
+        lambda: prove(lenient(ALL_PROGRAMS["section8"], name="s8")),
+        lambda: prove(lenient(ALL_PROGRAMS["patternmatch"], name="pm")),
+        lambda: analyze_timing(lenient(ALL_PROGRAMS["falsepath"],
+                                       name="fp")),
+        lambda: analyze_timing(lenient(ripple_carry(16), "adder", "r16")),
+    ], ids=["prove-section8", "prove-patternmatch", "timing-falsepath",
+            "timing-ripple16"])
+    def test_one_replay_simulator_per_run(self, monkeypatch, run):
+        built, replays = [], []
+        real_init, real_fresh = Simulator.__init__, Replayer.fresh
+
+        def init(self, *args, **kw):
+            built.append(self)
+            real_init(self, *args, **kw)
+
+        def fresh(self, circuit):
+            replays.append(circuit)
+            return real_fresh(self, circuit)
+
+        monkeypatch.setattr(Simulator, "__init__", init)
+        monkeypatch.setattr(Replayer, "fresh", fresh)
+        run()
+        assert len(replays) >= 2
+        assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------

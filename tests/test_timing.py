@@ -198,6 +198,25 @@ class TestFalsePathPruning:
         assert all(p["sensitization"] == "assumed"
                    for p in report.paths)
 
+    @pytest.mark.parametrize("name", ["falsepath", "ripple16"])
+    def test_replay_reads_the_endpoint_on_the_lane_engine(
+            self, monkeypatch, name):
+        # The replay reads its endpoint the way peek does, so a replay
+        # simulator on the lane kernel (whose scalar values are copied
+        # out of the planes on demand) reports what the default engine
+        # does.
+        if name == "ripple16":
+            circuit = repro.compile_text(programs.ripple_carry(16), "adder")
+        else:
+            circuit = _compile(name)
+        want = analyze_timing(circuit).to_dict()
+        assert any(p["sensitization"] == "confirmed" for p in want["paths"])
+        default = repro.Circuit.simulator
+        monkeypatch.setattr(
+            repro.Circuit, "simulator",
+            lambda self, **kw: default(self, engine="codegen", lanes=1, **kw))
+        assert analyze_timing(circuit).to_dict() == want
+
     def test_confirmed_witness_replays_by_hand(self, report):
         # Independently replay the confirmed witness: poke the frame,
         # flip the startpoint, watch the endpoint transition.
