@@ -662,7 +662,8 @@ class Simulator:
         """The value of every alias class after the last evaluation
         (None: never fired), indexed like :attr:`view`.  On the batched
         engine this is lane 0, copied out of the planes on demand; every
-        scalar read (``peek``, traces) goes through it."""
+        scalar read (``peek``, traces, the flight recorder) goes through
+        it."""
         if self.lanes is not None and self._values_stale:
             self._materialize_lane0()
         return self.values

@@ -145,9 +145,8 @@ class FlightRecorder:
         """Snapshot the cycle that just completed (post-latch)."""
         if not self.enabled:
             return
+        values = sim.current_values()
         if sim.lanes is not None:
-            if sim._values_stale:
-                sim._materialize_lane0()
             from ..core.batched import lane_value
 
             regs = [
@@ -166,7 +165,7 @@ class FlightRecorder:
             self.dropped += 1
         self.records.append(
             CycleRecord(
-                sim.cycle, list(sim.values), regs, pokes, list(new_violations)
+                sim.cycle, list(values), regs, pokes, list(new_violations)
             )
         )
 
