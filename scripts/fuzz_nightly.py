@@ -4,9 +4,9 @@
 Generates a large seeded batch of random Zeus programs (multiplex nets
 with guarded drivers, REG pipelines, FOR/WHEN meta-programmed
 replication -- see :mod:`repro.analysis.fuzzgen`) and runs the
-four-engine differential check on each: dataflow is the oracle;
-levelized, batched and codegen must agree observation for
-observation (the bit-parallel engines lane by lane).
+three-engine differential check on each: dataflow is the oracle;
+levelized and the codegen lane kernel must agree observation for
+observation (the kernel lane by lane).
 
 Reproducibility: the base seed defaults to the UTC date (YYYYMMDD), so
 re-running the same nightly locally replays the same programs; pass

@@ -2,18 +2,19 @@
 
 The fuzz suite's single most valuable property is *differential*: the
 dataflow engine is the semantics oracle (it executes the paper's firing
-rules directly), and every other engine -- levelized scalar, batched
-bit-parallel -- must agree with it observation for observation.  This
-module owns the three pieces every fuzz consumer shares:
+rules directly), and every other engine -- levelized scalar, the
+bit-parallel codegen kernel -- must agree with it observation for
+observation.  This module owns the three pieces every fuzz consumer
+shares:
 
 * :func:`generate_program` -- random programs well beyond pure
   combinational DAGs: multiplex (tri-state) nets with guarded and
   deliberately conflictable drivers, REG pipelines with guarded loads,
   and ``FOR``/``WHEN`` meta-programmed replication through a
   parameterized subcomponent;
-* :func:`differential_check` -- run one program on all four engines
+* :func:`differential_check` -- run one program on all three engines
   and compare per-cycle outputs, final register state, and recorded
-  violations (per lane on the batched engine);
+  violations (per lane on the codegen kernel);
 * :func:`shrink` -- statement-level delta debugging: greedily drop
   statements while the failure predicate keeps failing, so a nightly
   fuzz catch is reported as a minimal reproducing program.
@@ -34,13 +35,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 OPS = ["AND", "OR", "NAND", "NOR", "XOR"]
-
-#: Engines compared by :func:`differential_check`.  Dataflow is the
-#: oracle; "auto" resolves to levelized whenever the program can be
-#: scheduled (every generated program is acyclic, so it always can).
-#: "codegen" is the exec-compiled bit-parallel engine of
-#: :mod:`repro.core.codegen`, checked lane-by-lane like batched.
-ENGINES_UNDER_TEST = ("auto", "batched", "codegen")
 
 
 # -- legacy pure-DAG generator (kept for the fast fuzz slice) -------------
@@ -271,7 +265,7 @@ def _scalar_observations(circuit, engine, vector, outs, cycles, seed):
     return rows, regs, viols
 
 
-def _batched_observations(circuit, vectors, outs, cycles, engine="batched"):
+def _batched_observations(circuit, vectors, outs, cycles, engine="codegen"):
     sim = circuit.simulator(
         engine=engine, lanes=len(vectors), strict=False, seed=0
     )
@@ -308,17 +302,19 @@ def differential_check(
     name: str = "fuzz",
     roundtrip: bool = True,
 ) -> DifferentialResult:
-    """Run one program on dataflow (oracle), levelized ("auto"),
-    batched and codegen, over *n_vectors* random constant stimuli held
+    """Run one program on dataflow (oracle), levelized ("auto") and the
+    codegen lane kernel, over *n_vectors* random constant stimuli held
     for *cycles* cycles each, comparing per-cycle OUT-pin values, final
     register state, and (cycle, net) violation sets.
 
-    The batched run packs every vector into one simulator (lane k =
+    The codegen run packs every vector into one simulator (lane k =
     vector k, seed ``0 + k``); the scalar runs use seed ``k`` so the
     per-lane rng contract lines up.  Returns a falsy result carrying a
     human-readable mismatch description on the first disagreement.
+    (``engine="batched"`` names the same kernel, so it is not a leg of
+    its own.)
 
-    With *roundtrip* (the default) a fifth leg exports the design to
+    With *roundtrip* (the default) a fourth leg exports the design to
     structural Verilog, imports it back
     (:mod:`repro.analysis.roundtrip`), and co-simulates the
     round-tripped circuit against the original with the same vectors;
@@ -354,18 +350,17 @@ def differential_check(
                     f"{engine} vs dataflow: vector {k} {vec}: "
                     f"{_diff_detail(oracle[k], got, outs)}",
                 )
-    for engine in ("batched", "codegen"):
-        rows, regs, viols, _ = _batched_observations(
-            circuit, vectors, outs, cycles, engine=engine
-        )
-        for k, vec in enumerate(vectors):
-            got = (rows[k], regs[k], viols[k])
-            if got != oracle[k]:
-                return DifferentialResult(
-                    False,
-                    f"{engine} lane {k} vs dataflow: vector {vec}: "
-                    f"{_diff_detail(oracle[k], got, outs)}",
-                )
+    rows, regs, viols, _ = _batched_observations(
+        circuit, vectors, outs, cycles
+    )
+    for k, vec in enumerate(vectors):
+        got = (rows[k], regs[k], viols[k])
+        if got != oracle[k]:
+            return DifferentialResult(
+                False,
+                f"codegen lane {k} vs dataflow: vector {vec}: "
+                f"{_diff_detail(oracle[k], got, outs)}",
+            )
     if roundtrip:
         from .roundtrip import Logic, cosimulate, round_trip
 

@@ -15,7 +15,7 @@ This module owns that check:
   register map), and the recorded ``(cycle, net)`` violation sets
   (translated through the manifest's name map);
 * :func:`check_program` / :func:`check_corpus` -- the drivers the
-  tests, the fuzzer's fifth leg, and the CI smoke job share.
+  tests, the fuzzer's fourth leg, and the CI smoke job share.
 
 Unpoked inputs exercise the special-input rule on both sides: RSET and
 CLK survive mangling verbatim, so an imported design defaults them to

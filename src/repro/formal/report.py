@@ -1,7 +1,8 @@
 """Proof reporting: the versioned ``zeus.proof/1`` schema.
 
-Like ``zeus.lint/1`` and ``zeus.metrics/1``, the JSON shape is versioned
-and :func:`validate_proof_report` is its executable definition:
+Like ``zeus.lint/1`` and ``zeus.metrics/1``, the JSON shape is versioned;
+``_PROOF`` below is its shape table (:mod:`repro.obs.schema`), checked by
+:func:`validate_proof_report`:
 
 .. code-block:: none
 
@@ -41,6 +42,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from ..obs.schema import DESIGN, OneOf, design_block, validate
 from .solver import SolverStats
 
 SCHEMA = "zeus.proof/1"
@@ -144,16 +146,8 @@ class ProofReport:
         return {
             "schema": SCHEMA,
             "mode": self.mode,
-            "designs": [
-                {
-                    "name": name,
-                    "nets": stats.get("nets", 0),
-                    "gates": stats.get("gates", 0),
-                    "connections": stats.get("connections", 0),
-                    "registers": stats.get("registers", 0),
-                }
-                for name, stats in self.designs
-            ],
+            "designs": [design_block(name, stats)
+                        for name, stats in self.designs],
             "config": dict(self.config),
             "solver": {
                 "clauses": self.clauses,
@@ -225,74 +219,46 @@ def write_proof_report(path: str, report: "ProofReport") -> None:
         f.write(report.render_json())
 
 
+#: The ``zeus.proof/1`` shape.
+_PROOF = {
+    "mode": OneOf("mode", "prove", "equiv"),
+    "designs": [DESIGN],
+    "config": {"depth": int, "budget": int, "induction": bool},
+    "solver": {"clauses": int, "decisions": int, "nodes": int,
+               "sat_calls": int, "depth_reached": int,
+               "budget_exhausted": bool},
+    "verdict": OneOf("verdict", *_VERDICT_RANK),
+    "results": [{
+        "property": str,
+        "verdict": OneOf("result verdict", *_VERDICT_RANK),
+        "method": str,
+        "depth_checked": int,
+        "reason": str,
+        "k?": int,
+        "counterexample?": {
+            "cycle": int,
+            "frames": [dict],
+            "replay": {"confirmed": bool, "detail": str},
+        },
+    }],
+}
+
+
 def validate_proof_report(report: dict) -> None:
     """Raise ``ValueError`` unless *report* conforms to ``zeus.proof/1``."""
-
-    def need(obj: dict, key: str, types, where: str):
-        if key not in obj:
-            raise ValueError(f"proof report: missing {where}.{key}")
-        if not isinstance(obj[key], types):
-            raise ValueError(
-                f"proof report: {where}.{key} must be {types}, "
-                f"got {type(obj[key]).__name__}")
-        return obj[key]
-
-    if not isinstance(report, dict):
-        raise ValueError("proof report must be a dict")
-    if report.get("schema") != SCHEMA:
-        raise ValueError(
-            f"proof report: schema must be {SCHEMA!r}, "
-            f"got {report.get('schema')!r}")
-    if report.get("mode") not in ("prove", "equiv"):
-        raise ValueError(
-            f"proof report: bad mode {report.get('mode')!r}")
-    designs = need(report, "designs", list, "report")
-    if not designs:
+    validate("proof", SCHEMA, report, _PROOF)
+    if not report["designs"]:
         raise ValueError("proof report: designs must be non-empty")
-    for d in designs:
-        need(d, "name", str, "designs[]")
-        for key in ("nets", "gates", "connections", "registers"):
-            need(d, key, int, "designs[]")
-
-    config = need(report, "config", dict, "report")
-    need(config, "depth", int, "config")
-    need(config, "budget", int, "config")
-    need(config, "induction", bool, "config")
-
-    solver = need(report, "solver", dict, "report")
-    for key in ("clauses", "decisions", "nodes", "sat_calls",
-                "depth_reached"):
-        need(solver, key, int, "solver")
-    need(solver, "budget_exhausted", bool, "solver")
-
-    verdict = need(report, "verdict", str, "report")
-    if verdict not in ("proved", "counterexample", "unknown"):
-        raise ValueError(f"proof report: bad verdict {verdict!r}")
-
-    for r in need(report, "results", list, "report"):
-        need(r, "property", str, "results[]")
-        v = need(r, "verdict", str, "results[]")
-        if v not in ("proved", "counterexample", "unknown"):
-            raise ValueError(f"proof report: bad result verdict {v!r}")
-        need(r, "method", str, "results[]")
-        need(r, "depth_checked", int, "results[]")
-        need(r, "reason", str, "results[]")
-        if "k" in r and not isinstance(r["k"], int):
-            raise ValueError("proof report: results[].k must be int")
-        if v == "counterexample":
-            cex = need(r, "counterexample", dict, "results[]")
-            need(cex, "cycle", int, "results[].counterexample")
-            frames = need(cex, "frames", list, "results[].counterexample")
-            for frame in frames:
-                if not isinstance(frame, dict):
+    for r in report["results"]:
+        if "counterexample" not in r:
+            if r["verdict"] == "counterexample":
+                raise ValueError(
+                    "proof report: missing results[].counterexample")
+            continue
+        for frame in r["counterexample"]["frames"]:
+            for path, bits in frame.items():
+                if not isinstance(bits, list) or not all(
+                        b in (0, 1) for b in bits):
                     raise ValueError(
-                        "proof report: counterexample frames must be dicts")
-                for path, bits in frame.items():
-                    if not isinstance(bits, list) or not all(
-                            b in (0, 1) for b in bits):
-                        raise ValueError(
-                            f"proof report: frame[{path!r}] must be a "
-                            "0/1 bit list")
-            replay = need(cex, "replay", dict, "results[].counterexample")
-            need(replay, "confirmed", bool, "replay")
-            need(replay, "detail", str, "replay")
+                        f"proof report: frame[{path!r}] must be a "
+                        "0/1 bit list")

@@ -74,6 +74,7 @@ def run_lint(target, config: LintConfig | None = None) -> LintReport:
 
     with span("lint", design=design.name):
         ctx = LintContext(design)
+        prover = Prover(ctx, config)
         findings: list[Finding] = []
         prover_result: ProverResult | None = None
 
@@ -83,11 +84,11 @@ def run_lint(target, config: LintConfig | None = None) -> LintReport:
         if (config.effective_severity(conflict_rule) is not None
                 or config.effective_severity(unproved_rule) is not None):
             out: list[ProverResult] = []
-            findings.extend(driver_exclusivity_pass(ctx, config, out))
+            findings.extend(driver_exclusivity_pass(ctx, config, prover, out))
             prover_result = out[0]
 
         for _name, pass_fn in PASSES:
-            findings.extend(pass_fn(ctx, config))
+            findings.extend(pass_fn(ctx, config, prover))
 
         # Per-rule severity config: re-level or drop each finding.
         kept: list[Finding] = []

@@ -1,9 +1,10 @@
 """The lint pass registry.
 
-Each pass is a function ``(ctx, config) -> list[Finding]`` registered
-together with the :class:`~repro.lint.model.Rule` objects it can emit.
-All passes share the one :class:`~repro.core.view.ClassView` of the
-design; none walks the netlist on its own.
+Each pass is a function ``(ctx, config, prover) -> list[Finding]``
+registered together with the :class:`~repro.lint.model.Rule` objects it
+can emit.  All passes share the one :class:`~repro.core.view.ClassView`
+of the design, and the one :class:`~repro.lint.prover.Prover` of the
+run, built with the run's config; none walks the netlist on its own.
 
 The registry order is the report order: the prover first (it is the
 headline check), then the structural passes.
@@ -62,13 +63,12 @@ DEPTH_LIMIT = register_rule(Rule(
 # -- the prover pass ---------------------------------------------------------
 
 def driver_exclusivity_pass(
-    ctx: ClassView, config: LintConfig,
+    ctx: ClassView, config: LintConfig, prover: Prover,
     result_out: list[ProverResult] | None = None,
 ) -> list[Finding]:
     """Run the driver-exclusivity prover; one finding per conflicting or
     unproved net.  ``result_out`` (when given) receives the full
     :class:`ProverResult` for the report's ``prover`` section."""
-    prover = Prover(ctx, config)
     result = prover.run()
     if result_out is not None:
         result_out.append(result)
@@ -100,7 +100,9 @@ def driver_exclusivity_pass(
 
 # -- structural passes -------------------------------------------------------
 
-def comb_cycle_pass(ctx: ClassView, config: LintConfig) -> list[Finding]:
+def comb_cycle_pass(
+    ctx: ClassView, config: LintConfig, prover: Prover
+) -> list[Finding]:
     """Report one combinational cycle with its full path and spans
     (the checker's acyclicity error, upgraded with the route)."""
     if ctx.topo_order is not None:
@@ -116,7 +118,9 @@ def comb_cycle_pass(ctx: ClassView, config: LintConfig) -> list[Finding]:
         {"cycle": named})]
 
 
-def write_only_pass(ctx: ClassView, config: LintConfig) -> list[Finding]:
+def write_only_pass(
+    ctx: ClassView, config: LintConfig, prover: Prover
+) -> list[Finding]:
     """Locally declared signals that are assigned but never read
     (:meth:`~repro.core.view.ClassView.write_only`: ports, ``==``-alias
     duplicates and synthetic nets excluded)."""
@@ -125,11 +129,12 @@ def write_only_pass(ctx: ClassView, config: LintConfig) -> list[Finding]:
             for ci, message in ctx.write_only()]
 
 
-def dead_driver_pass(ctx: ClassView, config: LintConfig) -> list[Finding]:
+def dead_driver_pass(
+    ctx: ClassView, config: LintConfig, prover: Prover
+) -> list[Finding]:
     """Enable conditions that fold to a constant: guard 0 never drives
     (dead code), guard 1 makes the IF vacuous (and the assignment
     effectively unconditional)."""
-    prover = _shared_prover(ctx)
     findings = []
     for ci in range(ctx.n):
         for drv in ctx.drivers_of[ci]:
@@ -157,28 +162,18 @@ def dead_driver_pass(ctx: ClassView, config: LintConfig) -> list[Finding]:
     return findings
 
 
-def reg_has_reset(ctx: ClassView, reg) -> bool:
+def reg_has_reset(ctx: ClassView, reg, prover: Prover) -> bool:
     """Heuristic reset detection: some driver of the data pin loads a
     defined constant (``IF RSET THEN r.in := 0`` elaborates to a guarded
     constant driver)."""
     for drv in ctx.drivers_of[ctx.idx(reg.d)]:
         if drv.const is not None and drv.const in (Logic.ZERO, Logic.ONE):
             return True
-        if drv.src is not None:
-            # A source that folds to a defined constant also counts.
-            prover = _shared_prover(ctx)
-            if eval_expr(prover.builder.expr(drv.src), {}) in (0, 1):
-                return True
+        # A source that folds to a defined constant also counts.
+        if drv.src is not None and eval_expr(
+                prover.builder.expr(drv.src), {}) in (0, 1):
+            return True
     return False
-
-
-def _shared_prover(ctx: ClassView) -> Prover:
-    """One memoized Prover per context for the helper queries."""
-    prover = getattr(ctx, "_lint_shared_prover", None)
-    if prover is None:
-        prover = Prover(ctx)
-        ctx._lint_shared_prover = prover
-    return prover
 
 
 def _generic_name(name: str) -> str:
@@ -188,7 +183,9 @@ def _generic_name(name: str) -> str:
     return re.sub(r"\[\d+\]", "[*]", name)
 
 
-def reg_no_reset_pass(ctx: ClassView, config: LintConfig) -> list[Finding]:
+def reg_no_reset_pass(
+    ctx: ClassView, config: LintConfig, prover: Prover
+) -> list[Finding]:
     # Group never-reset registers by index-generalized name so a
     # 16x8 register file yields one finding, not 128.
     groups: dict[str, list] = {}
@@ -198,7 +195,7 @@ def reg_no_reset_pass(ctx: ClassView, config: LintConfig) -> list[Finding]:
         if qi in seen:
             continue
         seen.add(qi)
-        if reg_has_reset(ctx, reg):
+        if reg_has_reset(ctx, reg, prover):
             continue
         name = reg.name or f"$reg{reg.id}"
         groups.setdefault(_generic_name(name), []).append(reg)
@@ -217,7 +214,7 @@ def reg_no_reset_pass(ctx: ClassView, config: LintConfig) -> list[Finding]:
 
 
 def undef_reachability_pass(
-    ctx: ClassView, config: LintConfig
+    ctx: ClassView, config: LintConfig, prover: Prover
 ) -> list[Finding]:
     """Forward-propagate UNDEF origins (read-but-undriven nets, outputs
     of never-reset registers) to the design's OUT ports."""
@@ -229,7 +226,7 @@ def undef_reachability_pass(
     for reg in ctx.netlist.regs:
         qi = ctx.idx(reg.q)
         if qi not in reset_cache:
-            reset_cache[qi] = reg_has_reset(ctx, reg)
+            reset_cache[qi] = reg_has_reset(ctx, reg, prover)
         if not reset_cache[qi]:
             origins.setdefault(qi, "no reset")
     if not origins:
@@ -270,26 +267,18 @@ def undef_reachability_pass(
     return findings
 
 
-def _shared_timing(ctx: ClassView):
-    """One memoized unit-delay timing graph per context — the same
-    engine ``zeusc timing`` runs, so depth findings cite the actual
-    critical path the STA would report."""
-    graph = getattr(ctx, "_lint_shared_timing", None)
-    if graph is None:
-        from ..timing.delay import UNIT
-        from ..timing.graph import TimingGraph
-
-        graph = TimingGraph(ctx, UNIT)
-        ctx._lint_shared_timing = graph
-    return graph
-
-
-def limits_pass(ctx: ClassView, config: LintConfig) -> list[Finding]:
+def limits_pass(
+    ctx: ClassView, config: LintConfig, prover: Prover
+) -> list[Finding]:
     """Configurable fan-out and logic-depth thresholds, computed by the
-    shared timing engine (fan-out = wire load, depth = unit-delay
-    arrival time)."""
+    unit-delay timing graph ``zeusc timing`` runs (fan-out = wire load,
+    depth = arrival time), so depth findings cite the critical path the
+    STA would report."""
+    from ..timing.delay import UNIT
+    from ..timing.graph import TimingGraph
+
     findings = []
-    graph = _shared_timing(ctx)
+    graph = TimingGraph(ctx, UNIT)
     for ci, count in sorted(graph.fanout.items()):
         if count > config.max_fanout:
             findings.append(Finding(
@@ -318,7 +307,7 @@ def limits_pass(ctx: ClassView, config: LintConfig) -> list[Finding]:
 
 #: Registry: (pass name, function).  The prover pass is handled
 #: specially by the runner (it also feeds the report's prover section).
-PassFn = Callable[[ClassView, LintConfig], list[Finding]]
+PassFn = Callable[[ClassView, LintConfig, Prover], list[Finding]]
 PASSES: list[tuple[str, PassFn]] = [
     ("comb-cycle", comb_cycle_pass),
     ("undef-reachability", undef_reachability_pass),

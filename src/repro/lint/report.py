@@ -1,7 +1,8 @@
 """Lint reporting: the ``zeus.lint/1`` schema, text and SARIF renderers.
 
 Like ``zeus.metrics/1`` (:mod:`repro.obs.export`), the JSON shape is
-versioned and :func:`validate_lint_report` is its executable definition:
+versioned; ``_LINT`` below is its shape table (:mod:`repro.obs.schema`),
+checked by :func:`validate_lint_report`:
 
 .. code-block:: none
 
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 
 from ..lang.errors import Severity
 from ..lang.source import SourceText
+from ..obs.schema import DESIGN, OneOf, design_block, sarif_log, validate
 from .model import RULES, Finding, LintConfig
 from .prover import ProverResult
 
@@ -112,13 +114,7 @@ class LintReport:
             })
         report = {
             "schema": SCHEMA,
-            "design": {
-                "name": self.design_name,
-                "nets": self.stats.get("nets", 0),
-                "gates": self.stats.get("gates", 0),
-                "connections": self.stats.get("connections", 0),
-                "registers": self.stats.get("registers", 0),
-            },
+            "design": design_block(self.design_name, self.stats),
             "summary": {
                 "findings": len(self.findings) - self.suppressed,
                 "errors": self.errors,
@@ -196,20 +192,7 @@ class LintReport:
                     }
                 }]
             results.append(result)
-        sarif = {
-            "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-            "version": "2.1.0",
-            "runs": [{
-                "tool": {"driver": {
-                    "name": "zeuslint",
-                    "informationUri":
-                        "https://example.invalid/zeus-reproduction",
-                    "rules": rules,
-                }},
-                "results": results,
-            }],
-        }
-        return json.dumps(sarif, indent=2, sort_keys=True) + "\n"
+        return sarif_log("zeuslint", rules, results)
 
 
 def write_lint_report(path: str, report: "LintReport") -> None:
@@ -218,63 +201,33 @@ def write_lint_report(path: str, report: "LintReport") -> None:
         f.write(report.render_json())
 
 
+#: The ``zeus.lint/1`` shape.
+_LINT = {
+    "design": DESIGN,
+    "summary": {"findings": int, "errors": int, "warnings": int,
+                "notes": int, "suppressed": int, "by_rule": {str: int}},
+    "findings": [{
+        "rule": str,
+        "severity": OneOf("severity", *_LEVELS.values()),
+        "message": str,
+        "line": int,
+        "column": int,
+        "suppressed": bool,
+    }],
+    "prover?": {
+        "nets_analyzed": int, "proved_exclusive": int,
+        "proved_conflicting": int, "unknown": int,
+        "nets": [{
+            "net": str,
+            "drivers": int,
+            "verdict": OneOf("prover verdict", "exclusive", "conflicting",
+                             "unknown"),
+            "pairs": [{"a": int, "b": int, "verdict": str, "reason": str}],
+        }],
+    },
+}
+
+
 def validate_lint_report(report: dict) -> None:
     """Raise ``ValueError`` unless *report* conforms to ``zeus.lint/1``."""
-
-    def need(obj: dict, key: str, types, where: str):
-        if key not in obj:
-            raise ValueError(f"lint report: missing {where}.{key}")
-        if not isinstance(obj[key], types):
-            raise ValueError(
-                f"lint report: {where}.{key} must be {types}, "
-                f"got {type(obj[key]).__name__}")
-        return obj[key]
-
-    if not isinstance(report, dict):
-        raise ValueError("lint report must be a dict")
-    if report.get("schema") != SCHEMA:
-        raise ValueError(
-            f"lint report: schema must be {SCHEMA!r}, "
-            f"got {report.get('schema')!r}")
-    design = need(report, "design", dict, "report")
-    need(design, "name", str, "design")
-    for key in ("nets", "gates", "connections", "registers"):
-        need(design, key, int, "design")
-
-    summary = need(report, "summary", dict, "report")
-    for key in ("findings", "errors", "warnings", "notes", "suppressed"):
-        need(summary, key, int, "summary")
-    by_rule = need(summary, "by_rule", dict, "summary")
-    for rule, count in by_rule.items():
-        if not isinstance(count, int):
-            raise ValueError(
-                f"lint report: summary.by_rule[{rule!r}] must be int")
-
-    for f in need(report, "findings", list, "report"):
-        need(f, "rule", str, "findings[]")
-        need(f, "severity", str, "findings[]")
-        if f["severity"] not in ("error", "warning", "note"):
-            raise ValueError(
-                f"lint report: bad severity {f['severity']!r}")
-        need(f, "message", str, "findings[]")
-        need(f, "line", int, "findings[]")
-        need(f, "column", int, "findings[]")
-        need(f, "suppressed", bool, "findings[]")
-
-    if "prover" in report:
-        prover = need(report, "prover", dict, "report")
-        for key in ("nets_analyzed", "proved_exclusive",
-                    "proved_conflicting", "unknown"):
-            need(prover, key, int, "prover")
-        for net in need(prover, "nets", list, "prover"):
-            need(net, "net", str, "prover.nets[]")
-            need(net, "drivers", int, "prover.nets[]")
-            verdict = need(net, "verdict", str, "prover.nets[]")
-            if verdict not in ("exclusive", "conflicting", "unknown"):
-                raise ValueError(
-                    f"lint report: bad prover verdict {verdict!r}")
-            for pair in need(net, "pairs", list, "prover.nets[]"):
-                need(pair, "a", int, "prover.nets[].pairs[]")
-                need(pair, "b", int, "prover.nets[].pairs[]")
-                need(pair, "verdict", str, "prover.nets[].pairs[]")
-                need(pair, "reason", str, "prover.nets[].pairs[]")
+    validate("lint", SCHEMA, report, _LINT)

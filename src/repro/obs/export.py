@@ -64,8 +64,10 @@ A service report (from ``zeusd``'s ``GET /v1/metrics``) describes the
 daemon rather than one design, so ``design`` is optional exactly when
 ``service`` is present; :func:`service_metrics_report` builds one.
 
-:func:`validate_report` is the schema's executable definition — the
-docs, the tests and the CLI all go through it.
+``_METRICS`` below is the schema's shape table (in the language of
+:mod:`repro.obs.schema`); :func:`validate_report` checks it and the
+rules a shape cannot state, and the docs, the tests and the CLI all go
+through it.
 
 This module also defines the ``zeus.trace/1`` schema: the serialised
 form of a flight-recorder window (:mod:`repro.obs.flight`), optionally
@@ -95,7 +97,8 @@ carrying a causal explanation (:mod:`repro.obs.causal`):
       }
     }
 
-:func:`validate_trace_report` is its executable definition.
+``_TRACE`` below is its shape table, checked by
+:func:`validate_trace_report`.
 """
 
 from __future__ import annotations
@@ -103,6 +106,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING
 
+from .schema import DESIGN, NUM, OPT_NUM, OneOf, check, design_block, validate
 from .spans import SpanRegistry
 
 if TYPE_CHECKING:
@@ -130,16 +134,9 @@ def metrics_report(
     timing=None,
 ) -> dict:
     """Assemble the full ``zeus.metrics/1`` report dict."""
-    stats = circuit.netlist.stats()
     report: dict = {
         "schema": SCHEMA,
-        "design": {
-            "name": circuit.name,
-            "nets": stats.get("nets", 0),
-            "gates": stats.get("gates", 0),
-            "connections": stats.get("connections", 0),
-            "registers": stats.get("registers", 0),
-        },
+        "design": design_block(circuit.name, circuit.netlist.stats()),
     }
     if registry is not None and registry.spans:
         report["compile"] = {
@@ -231,162 +228,85 @@ def write_metrics(path: str, report: dict) -> None:
         f.write("\n")
 
 
+#: The ``zeus.metrics/1`` shape; ``design`` is required unless the
+#: report describes the service.
+_METRICS = {
+    "design?": DESIGN,
+    "service?": {
+        "uptime_s": NUM,
+        "requests": {"total": int, "errors": int, "shed": int,
+                     "by_endpoint": {str: int}},
+        "cache": {"entries": int, "capacity": int, "hits": int,
+                  "misses": int, "evictions": int, "hit_rate": NUM},
+        "pool": {"workers": int, "queue_depth": int, "max_queue": int,
+                 "active": int, "submitted": int, "completed": int,
+                 "timeouts": int, "shed": int},
+        "sessions": {"open": int,
+                     "muxes": [{"design": str, "lanes": int,
+                                "occupied": int}]},
+    },
+    "compile?": {"phases": dict,
+                 "spans": [{"name": str, "duration_s": NUM}]},
+    "sim?": {
+        "cycles": int, "firings": int, "gate_evals": int,
+        "driver_evals": int, "propagation_steps": int, "latches": int,
+        "violations": int, "peak_cycle": int, "peak_cycle_firings": int,
+        "firings_per_cycle_avg": NUM,
+        "engine?": str,
+        "firings_by_cycle": list,
+        "steps_by_cycle": list,
+        "nets": [{"name": str, "toggles": int, "fires": int}],
+        "gates": [{"name": str, "evals": int, "fires": int}],
+        "batched?": {"lanes": int, "lane_cycles": int, "fast_path": bool},
+    },
+    "lint?": {
+        "errors": int, "warnings": int, "notes": int, "suppressed": int,
+        "by_rule": {str: int},
+        "prover?": {"nets_analyzed": int, "proved_exclusive": int,
+                    "proved_conflicting": int, "unknown": int},
+    },
+    "formal?": {
+        "mode": OneOf("formal.mode", "prove", "equiv"),
+        "verdict": OneOf("formal.verdict", "proved", "counterexample",
+                         "unknown"),
+        "properties": int, "proved": int, "refuted": int, "unknown": int,
+        "solver": {"clauses": int, "decisions": int, "nodes": int,
+                   "sat_calls": int, "depth_reached": int,
+                   "budget_exhausted": bool},
+    },
+    "timing?": {
+        "model": str,
+        "worst_arrival": NUM,
+        "min_clock_period?": OPT_NUM,
+        "paths_reported": int, "paths_pruned": int, "violations": int,
+        "solver": {"sat_calls": int, "decisions": int, "nodes": int,
+                   "budget_exhausted": bool},
+    },
+    "wall?": {"elapsed_s": NUM, "cycles_per_s": NUM},
+}
+
+
 def validate_report(report: dict) -> None:
     """Raise ``ValueError`` unless *report* conforms to the documented
     ``zeus.metrics/1`` shape."""
-
-    def need(obj: dict, key: str, types, where: str):
-        if key not in obj:
-            raise ValueError(f"metrics report: missing {where}.{key}")
-        if not isinstance(obj[key], types):
+    validate("metrics", SCHEMA, report, _METRICS)
+    if "design" not in report and "service" not in report:
+        raise ValueError("metrics report: missing report.design")
+    for name, dur in report.get("compile", {}).get("phases", {}).items():
+        if not isinstance(dur, NUM) or dur < 0:
             raise ValueError(
-                f"metrics report: {where}.{key} must be "
-                f"{types}, got {type(obj[key]).__name__}"
+                f"metrics report: compile.phases[{name!r}] must be a "
+                f"non-negative number"
             )
-        return obj[key]
-
-    if not isinstance(report, dict):
-        raise ValueError("metrics report must be a dict")
-    if report.get("schema") != SCHEMA:
-        raise ValueError(
-            f"metrics report: schema must be {SCHEMA!r}, "
-            f"got {report.get('schema')!r}"
-        )
-    if "design" in report or "service" not in report:
-        design = need(report, "design", dict, "report")
-        need(design, "name", str, "design")
-        for key in ("nets", "gates", "connections", "registers"):
-            need(design, key, int, "design")
-
-    if "service" in report:
-        service = need(report, "service", dict, "report")
-        need(service, "uptime_s", (int, float), "service")
-        requests = need(service, "requests", dict, "service")
-        for key in ("total", "errors", "shed"):
-            need(requests, key, int, "service.requests")
-        by_endpoint = need(requests, "by_endpoint", dict,
-                           "service.requests")
-        for ep, count in by_endpoint.items():
-            if not isinstance(count, int):
-                raise ValueError(
-                    f"metrics report: service.requests.by_endpoint"
-                    f"[{ep!r}] must be int"
-                )
-        cache = need(service, "cache", dict, "service")
-        for key in ("entries", "capacity", "hits", "misses", "evictions"):
-            need(cache, key, int, "service.cache")
-        need(cache, "hit_rate", (int, float), "service.cache")
-        pool = need(service, "pool", dict, "service")
-        for key in ("workers", "queue_depth", "max_queue", "active",
-                    "submitted", "completed", "timeouts", "shed"):
-            need(pool, key, int, "service.pool")
-        sessions = need(service, "sessions", dict, "service")
-        need(sessions, "open", int, "service.sessions")
-        for mux in need(sessions, "muxes", list, "service.sessions"):
-            need(mux, "design", str, "service.sessions.muxes[]")
-            need(mux, "lanes", int, "service.sessions.muxes[]")
-            need(mux, "occupied", int, "service.sessions.muxes[]")
-
-    if "compile" in report:
-        comp = need(report, "compile", dict, "report")
-        phases = need(comp, "phases", dict, "compile")
-        for name, dur in phases.items():
-            if not isinstance(dur, (int, float)) or dur < 0:
-                raise ValueError(
-                    f"metrics report: compile.phases[{name!r}] must be a "
-                    f"non-negative number"
-                )
-        for sp in need(comp, "spans", list, "compile"):
-            need(sp, "name", str, "compile.spans[]")
-            need(sp, "duration_s", (int, float), "compile.spans[]")
-
     if "sim" in report:
-        sim = need(report, "sim", dict, "report")
-        for key in ("cycles", "firings", "gate_evals", "driver_evals",
-                    "propagation_steps", "latches", "violations",
-                    "peak_cycle", "peak_cycle_firings"):
-            need(sim, key, int, "sim")
-        need(sim, "firings_per_cycle_avg", (int, float), "sim")
-        if "engine" in sim:
-            need(sim, "engine", str, "sim")
-        if len(need(sim, "firings_by_cycle", list, "sim")) != sim["cycles"]:
+        sim = report["sim"]
+        if len(sim["firings_by_cycle"]) != sim["cycles"]:
             raise ValueError(
                 "metrics report: sim.firings_by_cycle length must equal "
                 "sim.cycles"
             )
-        need(sim, "steps_by_cycle", list, "sim")
-        for net in need(sim, "nets", list, "sim"):
-            need(net, "name", str, "sim.nets[]")
-            need(net, "toggles", int, "sim.nets[]")
-            need(net, "fires", int, "sim.nets[]")
-        for gate in need(sim, "gates", list, "sim"):
-            need(gate, "name", str, "sim.gates[]")
-            need(gate, "evals", int, "sim.gates[]")
-            need(gate, "fires", int, "sim.gates[]")
-        if "batched" in sim:
-            batched = need(sim, "batched", dict, "sim")
-            need(batched, "lanes", int, "sim.batched")
-            need(batched, "lane_cycles", int, "sim.batched")
-            need(batched, "fast_path", bool, "sim.batched")
-            if batched["lanes"] < 1:
-                raise ValueError(
-                    "metrics report: sim.batched.lanes must be >= 1"
-                )
-
-    if "lint" in report:
-        lint = need(report, "lint", dict, "report")
-        for key in ("errors", "warnings", "notes", "suppressed"):
-            need(lint, key, int, "lint")
-        by_rule = need(lint, "by_rule", dict, "lint")
-        for rule, count in by_rule.items():
-            if not isinstance(count, int):
-                raise ValueError(
-                    f"metrics report: lint.by_rule[{rule!r}] must be int"
-                )
-        if "prover" in lint:
-            prover = need(lint, "prover", dict, "lint")
-            for key in ("nets_analyzed", "proved_exclusive",
-                        "proved_conflicting", "unknown"):
-                need(prover, key, int, "lint.prover")
-
-    if "formal" in report:
-        formal = need(report, "formal", dict, "report")
-        if formal.get("mode") not in ("prove", "equiv"):
-            raise ValueError(
-                f"metrics report: bad formal.mode {formal.get('mode')!r}")
-        if formal.get("verdict") not in ("proved", "counterexample",
-                                         "unknown"):
-            raise ValueError(
-                "metrics report: bad formal.verdict "
-                f"{formal.get('verdict')!r}")
-        for key in ("properties", "proved", "refuted", "unknown"):
-            need(formal, key, int, "formal")
-        solver = need(formal, "solver", dict, "formal")
-        for key in ("clauses", "decisions", "nodes", "sat_calls",
-                    "depth_reached"):
-            need(solver, key, int, "formal.solver")
-        need(solver, "budget_exhausted", bool, "formal.solver")
-
-    if "timing" in report:
-        timing = need(report, "timing", dict, "report")
-        need(timing, "model", str, "timing")
-        need(timing, "worst_arrival", (int, float), "timing")
-        if not isinstance(timing.get("min_clock_period"),
-                          (int, float, type(None))):
-            raise ValueError(
-                "metrics report: timing.min_clock_period must be a "
-                "number or null")
-        for key in ("paths_reported", "paths_pruned", "violations"):
-            need(timing, key, int, "timing")
-        solver = need(timing, "solver", dict, "timing")
-        for key in ("sat_calls", "decisions", "nodes"):
-            need(solver, key, int, "timing.solver")
-        need(solver, "budget_exhausted", bool, "timing.solver")
-
-    if "wall" in report:
-        wall = need(report, "wall", dict, "report")
-        need(wall, "elapsed_s", (int, float), "wall")
-        need(wall, "cycles_per_s", (int, float), "wall")
+        if "batched" in sim and sim["batched"]["lanes"] < 1:
+            raise ValueError("metrics report: sim.batched.lanes must be >= 1")
 
 
 # -- zeus.trace/1 ------------------------------------------------------------
@@ -414,7 +334,6 @@ def trace_report(
             "trace export needs a flight recorder: construct the "
             "simulator with flight=N (or zeusc sim --flight N)"
         )
-    stats = circuit.netlist.stats()
     events = [
         ev.to_dict()
         for ev in fl.events(include_synthetic=include_synthetic)
@@ -425,13 +344,7 @@ def trace_report(
         events = events[:max_events]
     report: dict = {
         "schema": TRACE_SCHEMA,
-        "design": {
-            "name": circuit.name,
-            "nets": stats.get("nets", 0),
-            "gates": stats.get("gates", 0),
-            "connections": stats.get("connections", 0),
-            "registers": stats.get("registers", 0),
-        },
+        "design": design_block(circuit.name, circuit.netlist.stats()),
         "engine": sim.engine,
         "lanes": sim.lanes,
         "window": {
@@ -458,95 +371,59 @@ def write_trace(path: str, report: dict) -> None:
         f.write("\n")
 
 
+_OPT_INT = (int, type(None))
+
+#: One node of an explanation tree (its ``children`` are nodes too).
+_NODE = {"net": str, "cycle": int, "value": str, "reason": str,
+         "children?": list}
+
+#: The ``zeus.trace/1`` shape.
+_TRACE = {
+    "design": DESIGN,
+    "engine": str,
+    "lanes": _OPT_INT,
+    "window": {"capacity": int, "recorded": int, "dropped": int,
+               "first": _OPT_INT, "last": _OPT_INT},
+    "events": [{
+        "cycle": int,
+        "kind": OneOf("event kind", *_EVENT_KINDS),
+        "net": str,
+        "value": OneOf("event value", *_LOGIC_NAMES),
+        "lane?": int,
+        "values?": [OneOf("conflict value", *_LOGIC_NAMES)],
+    }],
+    "explanation?": {
+        "target": {"path": str, "cycle": int, "value": str},
+        "engine": str,
+        "node_count": int,
+        "truncated": bool,
+        "tree": [_NODE],
+    },
+}
+
+
 def validate_trace_report(report: dict) -> None:
     """Raise ``ValueError`` unless *report* conforms to the documented
     ``zeus.trace/1`` shape."""
-
-    def need(obj: dict, key: str, types, where: str):
-        if key not in obj:
-            raise ValueError(f"trace report: missing {where}.{key}")
-        if not isinstance(obj[key], types):
-            raise ValueError(
-                f"trace report: {where}.{key} must be "
-                f"{types}, got {type(obj[key]).__name__}"
-            )
-        return obj[key]
-
-    if not isinstance(report, dict):
-        raise ValueError("trace report must be a dict")
-    if report.get("schema") != TRACE_SCHEMA:
-        raise ValueError(
-            f"trace report: schema must be {TRACE_SCHEMA!r}, "
-            f"got {report.get('schema')!r}"
-        )
-    design = need(report, "design", dict, "report")
-    need(design, "name", str, "design")
-    for key in ("nets", "gates", "connections", "registers"):
-        need(design, key, int, "design")
-    need(report, "engine", str, "report")
-    if "lanes" not in report or not (
-        report["lanes"] is None or isinstance(report["lanes"], int)
-    ):
-        raise ValueError("trace report: lanes must be int or null")
-
-    window = need(report, "window", dict, "report")
+    validate("trace", TRACE_SCHEMA, report, _TRACE)
+    window = report["window"]
     for key in ("capacity", "recorded", "dropped"):
-        if need(window, key, int, "window") < 0:
+        if window[key] < 0:
             raise ValueError(f"trace report: window.{key} must be >= 0")
-    for key in ("first", "last"):
-        if key not in window or not (
-            window[key] is None or isinstance(window[key], int)
-        ):
-            raise ValueError(
-                f"trace report: window.{key} must be int or null"
-            )
     if (window["first"] is None) != (window["recorded"] == 0):
         raise ValueError(
             "trace report: window.first is null exactly when nothing "
             "was recorded"
         )
-
-    prev_cycle = None
-    for ev in need(report, "events", list, "report"):
-        cyc = need(ev, "cycle", int, "events[]")
-        if prev_cycle is not None and cyc < prev_cycle:
-            raise ValueError("trace report: events must be time-ordered")
-        prev_cycle = cyc
-        if need(ev, "kind", str, "events[]") not in _EVENT_KINDS:
-            raise ValueError(
-                f"trace report: bad event kind {ev['kind']!r}"
-            )
-        need(ev, "net", str, "events[]")
-        if need(ev, "value", str, "events[]") not in _LOGIC_NAMES:
-            raise ValueError(
-                f"trace report: bad event value {ev['value']!r}"
-            )
-        if "lane" in ev and not isinstance(ev["lane"], int):
-            raise ValueError("trace report: events[].lane must be int")
-        if "values" in ev:
-            for v in need(ev, "values", list, "events[]"):
-                if v not in _LOGIC_NAMES:
-                    raise ValueError(
-                        f"trace report: bad conflict value {v!r}"
-                    )
-
-    if "explanation" in report:
-        expl = need(report, "explanation", dict, "report")
-        target = need(expl, "target", dict, "explanation")
-        need(target, "path", str, "explanation.target")
-        need(target, "cycle", int, "explanation.target")
-        need(target, "value", str, "explanation.target")
-        need(expl, "engine", str, "explanation")
-        need(expl, "node_count", int, "explanation")
-        need(expl, "truncated", bool, "explanation")
-
-        def check_node(node: dict, where: str) -> None:
-            need(node, "net", str, where)
-            need(node, "cycle", int, where)
-            need(node, "value", str, where)
-            need(node, "reason", str, where)
-            for child in node.get("children", []):
-                check_node(child, where + ".children[]")
-
-        for node in need(expl, "tree", list, "explanation"):
-            check_node(node, "explanation.tree[]")
+    cycles = [ev["cycle"] for ev in report["events"]]
+    if any(a > b for a, b in zip(cycles, cycles[1:])):
+        raise ValueError("trace report: events must be time-ordered")
+    # The explanation tree nests to any depth: walk it level by level.
+    level = report.get("explanation", {}).get("tree", [])
+    path = "explanation.tree[]"
+    while level:
+        level = [child for node in level
+                 for child in node.get("children", ())]
+        path += ".children[]"
+        for node in level:
+            check("trace", node, _NODE, path)

@@ -1,7 +1,8 @@
 """Timing reporting: the versioned ``zeus.timing/1`` schema.
 
-Like ``zeus.lint/1`` and ``zeus.proof/1``, the JSON shape is versioned
-and :func:`validate_timing_report` is its executable definition:
+Like ``zeus.lint/1`` and ``zeus.proof/1``, the JSON shape is versioned;
+``_TIMING`` below is its shape table (:mod:`repro.obs.schema`), checked
+by :func:`validate_timing_report`:
 
 .. code-block:: none
 
@@ -52,6 +53,15 @@ import json
 from dataclasses import dataclass, field
 
 from ..formal.solver import SolverStats
+from ..obs.schema import (
+    DESIGN,
+    NUM,
+    OPT_NUM,
+    OneOf,
+    design_block,
+    sarif_log,
+    validate,
+)
 
 SCHEMA = "zeus.timing/1"
 
@@ -114,13 +124,7 @@ class TimingReport:
             summary["cycle"] = list(self.cycle)
         return {
             "schema": SCHEMA,
-            "design": {
-                "name": self.design,
-                "nets": self.stats.get("nets", 0),
-                "gates": self.stats.get("gates", 0),
-                "connections": self.stats.get("connections", 0),
-                "registers": self.stats.get("registers", 0),
-            },
+            "design": design_block(self.design, self.stats),
             "model": {"name": self.model_name,
                       "wire_factor": self.wire_factor},
             "clock": self.clock,
@@ -222,26 +226,13 @@ class TimingReport:
                     f"(clock {self._num(self.clock)}, "
                     f"sensitization {p['sensitization']})")},
             })
-        sarif = {
-            "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-            "version": "2.1.0",
-            "runs": [{
-                "tool": {"driver": {
-                    "name": "zeustime",
-                    "informationUri":
-                        "https://example.invalid/zeus-reproduction",
-                    "rules": [{
-                        "id": VIOLATION_CODE,
-                        "name": "timing-violation",
-                        "shortDescription": {"text": (
-                            "a sensitizable path exceeds the clock "
-                            "constraint")},
-                    }],
-                }},
-                "results": results,
-            }],
+        rule = {
+            "id": VIOLATION_CODE,
+            "name": "timing-violation",
+            "shortDescription": {"text": (
+                "a sensitizable path exceeds the clock constraint")},
         }
-        return json.dumps(sarif, indent=2, sort_keys=True) + "\n"
+        return sarif_log("zeustime", [rule], results)
 
 
 def write_timing_report(path: str, report: "TimingReport") -> None:
@@ -250,99 +241,53 @@ def write_timing_report(path: str, report: "TimingReport") -> None:
         f.write(report.render_json())
 
 
-_SENSITIZATIONS = ("confirmed", "assumed", "witness-unreplayed")
+#: The ``zeus.timing/1`` shape.
+_TIMING = {
+    "design": DESIGN,
+    "model": {"name": str, "wire_factor": NUM},
+    "clock": OPT_NUM,
+    "summary": {
+        "worst_arrival": NUM,
+        "min_clock_period": OPT_NUM,
+        "min_clock_exact": bool,
+        "worst_slack": OPT_NUM,
+        "startpoints": int, "endpoints": int, "paths_reported": int,
+        "paths_pruned": int, "paths_examined": int, "violations": int,
+        "cycle?": [str],
+    },
+    "solver": {"sat_calls": int, "decisions": int, "nodes": int,
+               "budget_exhausted": bool},
+    "paths": [{
+        "startpoint": str,
+        "endpoint": str,
+        "kind": str,
+        "delay": NUM,
+        "slack": OPT_NUM,
+        "sensitization": OneOf("sensitization", "confirmed", "assumed",
+                               "witness-unreplayed"),
+        "reason": str,
+        "witness?": dict,
+        "replay?": {"confirmed": bool, "detail": str},
+        "nets": [{"net": str, "arrival": NUM, "through": str}],
+    }],
+    "pruned": [{"startpoint": str, "endpoint": str, "kind": str,
+                "delay": NUM, "reason": str}],
+}
 
 
 def validate_timing_report(report: dict) -> None:
     """Raise ``ValueError`` unless *report* conforms to
     ``zeus.timing/1``."""
-
-    def need(obj: dict, key: str, types, where: str):
-        if key not in obj:
-            raise ValueError(f"timing report: missing {where}.{key}")
-        if not isinstance(obj[key], types):
+    validate("timing", SCHEMA, report, _TIMING)
+    for p in report["paths"]:
+        if not all(isinstance(k, str) and v in (0, 1)
+                   for k, v in p.get("witness", {}).items()):
             raise ValueError(
-                f"timing report: {where}.{key} must be {types}, "
-                f"got {type(obj[key]).__name__}")
-        return obj[key]
-
-    num = (int, float)
-    opt_num = (int, float, type(None))
-    if not isinstance(report, dict):
-        raise ValueError("timing report must be a dict")
-    if report.get("schema") != SCHEMA:
-        raise ValueError(
-            f"timing report: schema must be {SCHEMA!r}, "
-            f"got {report.get('schema')!r}")
-
-    design = need(report, "design", dict, "report")
-    need(design, "name", str, "design")
-    for key in ("nets", "gates", "connections", "registers"):
-        need(design, key, int, "design")
-
-    model = need(report, "model", dict, "report")
-    need(model, "name", str, "model")
-    need(model, "wire_factor", num, "model")
-
-    need(report, "clock", opt_num, "report")
-
-    summary = need(report, "summary", dict, "report")
-    need(summary, "worst_arrival", num, "summary")
-    need(summary, "min_clock_period", opt_num, "summary")
-    need(summary, "min_clock_exact", bool, "summary")
-    need(summary, "worst_slack", opt_num, "summary")
-    for key in ("startpoints", "endpoints", "paths_reported",
-                "paths_pruned", "paths_examined", "violations"):
-        need(summary, key, int, "summary")
-    if "cycle" in summary and not (
-            isinstance(summary["cycle"], list)
-            and all(isinstance(s, str) for s in summary["cycle"])):
-        raise ValueError("timing report: summary.cycle must be a "
-                         "list of net names")
-
-    solver = need(report, "solver", dict, "report")
-    for key in ("sat_calls", "decisions", "nodes"):
-        need(solver, key, int, "solver")
-    need(solver, "budget_exhausted", bool, "solver")
-
-    for p in need(report, "paths", list, "report"):
-        need(p, "startpoint", str, "paths[]")
-        need(p, "endpoint", str, "paths[]")
-        need(p, "kind", str, "paths[]")
-        need(p, "delay", num, "paths[]")
-        need(p, "slack", opt_num, "paths[]")
-        sens = need(p, "sensitization", str, "paths[]")
-        if sens not in _SENSITIZATIONS:
-            raise ValueError(
-                f"timing report: bad sensitization {sens!r}")
-        need(p, "reason", str, "paths[]")
-        if "witness" in p:
-            wit = p["witness"]
-            if not isinstance(wit, dict) or not all(
-                    isinstance(k, str) and v in (0, 1)
-                    for k, v in wit.items()):
-                raise ValueError(
-                    "timing report: paths[].witness must map input "
-                    "names to 0/1 bits")
-        if "replay" in p:
-            replay = need(p, "replay", dict, "paths[]")
-            need(replay, "confirmed", bool, "paths[].replay")
-            need(replay, "detail", str, "paths[].replay")
-        nets = need(p, "nets", list, "paths[]")
-        if not nets:
+                "timing report: paths[].witness must map input "
+                "names to 0/1 bits")
+        if not p["nets"]:
             raise ValueError("timing report: paths[].nets is empty")
-        for hop in nets:
-            need(hop, "net", str, "paths[].nets[]")
-            need(hop, "arrival", num, "paths[].nets[]")
-            need(hop, "through", str, "paths[].nets[]")
-
-    for p in need(report, "pruned", list, "report"):
-        need(p, "startpoint", str, "pruned[]")
-        need(p, "endpoint", str, "pruned[]")
-        need(p, "kind", str, "pruned[]")
-        need(p, "delay", num, "pruned[]")
-        need(p, "reason", str, "pruned[]")
-
+    summary = report["summary"]
     if summary["paths_reported"] != len(report["paths"]):
         raise ValueError(
             "timing report: summary.paths_reported disagrees with paths")

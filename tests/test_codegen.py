@@ -13,7 +13,7 @@ Covers:
   kernel per distinct poked set) and match per-lane dataflow runs;
 * RANDOM draws and frozen-lane rng snapshots at 4099 lanes against
   scalar runs seeded ``seed + k``;
-* the four-engine differential fuzz slice (dataflow oracle);
+* the differential fuzz slice (dataflow oracle, levelized, codegen);
 * a lane count above 65536 that is not a multiple of 64;
 * the flight-recorder ``reset``/rebind regressions (stale pre-reset
   snapshots must never leak into a later explain window).
@@ -646,15 +646,15 @@ class TestWideLanes:
             ], lane
 
 
-# -- four-engine differential fuzz slice ----------------------------------
+# -- differential fuzz slice -----------------------------------------------
 
 
 @pytest.mark.fuzz
 class TestFourEngineDifferential:
     @pytest.mark.parametrize("seed", range(12))
     def test_full_repertoire_slice(self, seed):
-        """dataflow (oracle) vs levelized vs batched vs codegen, lane
-        by lane, over the extended generator's repertoire."""
+        """dataflow (oracle) vs levelized vs codegen, lane by lane,
+        over the extended generator's repertoire."""
         prog = generate_program(seed)
         result = differential_check(prog.text, seed=seed)
         assert result, f"seed {seed}: {result.detail}\n{prog.text}"

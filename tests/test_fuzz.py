@@ -1,5 +1,5 @@
 """Differential fuzzing: random Zeus programs vs. a Python model and
-across all four engines.
+across the three engines.
 
 The generator lives in :mod:`repro.analysis.fuzzgen` (shared with the
 nightly long-budget runner, ``scripts/fuzz_nightly.py``).  The fast
@@ -10,10 +10,10 @@ slice here checks
 * the extended generator's full repertoire -- multiplex nets with
   guarded (and deliberately conflictable) drivers, REG pipelines with
   guarded loads, FOR/WHEN meta-programmed replication -- differentially
-  across dataflow (the oracle), levelized and batched, lane by lane,
-  plus the fifth leg: the design round-tripped through the structural
-  Verilog emitter and reader (:mod:`repro.analysis.roundtrip`)
-  co-simulated against the original.
+  across dataflow (the oracle), levelized and the codegen lane kernel,
+  lane by lane, plus the fourth leg: the design round-tripped through
+  the structural Verilog emitter and reader
+  (:mod:`repro.analysis.roundtrip`) co-simulated against the original.
 
 Long-budget cases are marked ``slow`` and skipped unless the
 ``ZEUS_FUZZ_LONG`` environment variable is set (the nightly CI job sets
@@ -159,7 +159,7 @@ SIGNAL u: t;
     assert sim.violations
 
 
-# -- the extended generator, four engines, lane by lane -------------------
+# -- the extended generator, three engines, lane by lane ------------------
 
 
 @pytest.mark.fuzz
@@ -167,7 +167,7 @@ class TestExtendedDifferential:
     @pytest.mark.parametrize("seed", range(40))
     def test_full_repertoire(self, seed):
         """Mux + REG + meta-programmed programs: dataflow (oracle) vs
-        levelized vs batched vs the Verilog round-trip, per-cycle
+        levelized vs codegen vs the Verilog round-trip, per-cycle
         outputs, final registers and per-lane violations."""
         prog = generate_program(seed)
         res = differential_check(

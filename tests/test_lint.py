@@ -16,6 +16,7 @@ from repro.cli import main
 from repro.lang.errors import Severity
 from repro.lint import (
     LintConfig,
+    Prover,
     RULES,
     run_lint,
     validate_lint_report,
@@ -141,6 +142,38 @@ SIGNAL u: t;
         assert "driver-unproved" in rules_of(report)
         # UNKNOWN is a warning, not an error: runtime stays the oracle.
         assert report.errors == 0
+
+    def test_budget_reaches_the_dead_driver_pass(self):
+        """Every pass asks the run's one prover, so ``prover_budget``
+        bounds the dead-driver query too: out of budget, the guard is
+        neither proved dead nor reported."""
+        text = """
+TYPE t = COMPONENT (IN a, b: boolean; OUT y: boolean; z: multiplex) IS
+BEGIN
+    IF AND(a, NOT a) THEN z := 1 END;
+    IF b THEN z := 0 END;
+    y := a
+END;
+SIGNAL u: t;
+"""
+        assert "dead-driver" in rules_of(lint_of(text))
+        report = lint_of(text, LintConfig(prover_budget=0))
+        assert "driver-unproved" in rules_of(report)
+        assert "dead-driver" not in rules_of(report)
+
+    def test_one_prover_per_run(self, monkeypatch):
+        built = []
+        init = Prover.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Prover, "__init__", counting_init)
+        for name, text in sorted(repro.stdlib.programs.ALL_PROGRAMS.items()):
+            built.clear()
+            lint_of(text, name=name)
+            assert len(built) == 1, name
 
     def test_stdlib_corpus_fully_classified(self):
         """Acceptance: the prover classifies every multi-driver
