@@ -66,6 +66,7 @@ from .core.simulator import ENGINES
 from .core.trace import Trace
 from .obs import metrics_report, write_metrics
 from .obs import spans as _spans
+from .obs.schema import json_text
 from .stdlib import programs
 
 
@@ -101,8 +102,6 @@ def _report_error(args: argparse.Namespace, exc: ZeusError) -> int:
     subcommands emit the ``zeus.error/1`` payload (the same renderer
     zeusd uses) on stdout/-o; everything else keeps the one-line
     stderr message."""
-    import json
-
     from .lang import SourceText
     from .lang.errors import error_payload
 
@@ -110,9 +109,7 @@ def _report_error(args: argparse.Namespace, exc: ZeusError) -> int:
         source = None
         if getattr(exc, "source_text", None) is not None:
             source = SourceText(exc.source_text, exc.source_name)
-        text = json.dumps(
-            error_payload(exc, source), indent=2, sort_keys=True
-        ) + "\n"
+        text = json_text(error_payload(exc, source))
         output = getattr(args, "output", None)
         if output:
             with open(output, "w", encoding="utf-8") as f:
@@ -177,7 +174,7 @@ def _add_formal(p: argparse.ArgumentParser) -> None:
                    help="solver conflict budget per SAT question "
                         "(default 100000)")
     p.add_argument("--no-induction", action="store_true",
-                   help="skip the k-induction attempt after a clean BMC")
+                   help="skip the k-induction steps (BMC only)")
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="report format (default text)")
     p.add_argument("-o", "--output", metavar="FILE",
@@ -764,8 +761,6 @@ def _emit_verilog(args: argparse.Namespace, circuit: Circuit) -> int:
     write structural Verilog and the zeus.interchange/1 manifest.  An
     unencodable design shape (see :mod:`repro.interchange.emit`) is an
     error under the exit contract (2)."""
-    import json
-
     from .interchange import emit_verilog
 
     try:
@@ -777,17 +772,13 @@ def _emit_verilog(args: argparse.Namespace, circuit: Circuit) -> int:
             exc.source_name = circuit.design.source.name
         return _report_error(args, exc)
     if args.format == "json":
-        _write_or_print(
-            json.dumps({"verilog": text, "manifest": manifest},
-                       indent=2, sort_keys=True) + "\n",
-            args.output,
-        )
+        _write_or_print(json_text({"verilog": text, "manifest": manifest}),
+                        args.output)
     else:
         _write_or_print(text, args.output)
     if args.manifest:
         with open(args.manifest, "w", encoding="utf-8") as f:
-            json.dump(manifest, f, indent=2, sort_keys=True)
-            f.write("\n")
+            f.write(json_text(manifest))
         print(f"wrote {args.manifest}")
     return 0
 
@@ -798,8 +789,6 @@ def _import_verilog(args: argparse.Namespace) -> int:
     constructs, dangling instance ports and duplicate modules exit 2
     with a ``zeus.error/1`` payload (``--format json``) naming the
     source line."""
-    import json
-
     from .interchange import import_manifest, read_verilog
 
     with open(args.file, "r", encoding="utf-8") as f:
@@ -811,11 +800,7 @@ def _import_verilog(args: argparse.Namespace) -> int:
         exc.source_name = args.file
         return _report_error(args, exc)
     if args.format == "json":
-        _write_or_print(
-            json.dumps(import_manifest(design), indent=2, sort_keys=True)
-            + "\n",
-            args.output,
-        )
+        _write_or_print(json_text(import_manifest(design)), args.output)
         return 0
     stats = design.netlist.stats()
     info = design.interchange
@@ -888,8 +873,6 @@ def _explain(args: argparse.Namespace, circuit: Circuit, registry) -> int:
     The run is always lenient (strict mode would abort at the very
     conflict being diagnosed); an unknown net or a cycle outside the
     recorded window is an error under the exit-code contract (2)."""
-    import json
-
     from .obs import causal, export
 
     cycles = args.cycles if args.cycles is not None else args.cycle + 1
@@ -915,7 +898,7 @@ def _explain(args: argparse.Namespace, circuit: Circuit, registry) -> int:
     elif args.format == "json":
         report = export.trace_report(circuit, sim, explanation=explanation)
         export.validate_trace_report(report)
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = json_text(report)
     else:
         text = explanation.render_text() + "\n"
     if args.output:

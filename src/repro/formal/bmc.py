@@ -22,13 +22,20 @@ k-induction), ``counterexample`` (with a replayed primary-input
 stimulus trace), or ``unknown`` (bounded-clean to the configured depth,
 out of budget, or the design defeats the encoder).
 
-The BMC loop asks one SAT question per frame ("bad at cycle t?") so a
-shallow counterexample never pays for a deep unrolling; frames share
-structure through the interning factory, which is what keeps k-cycle
-unrollings of register designs tractable.  One :class:`Solver` answers
-every BMC question of a :func:`prove` call, so each node of the
-unrolling is encoded once; each property's k-induction loop keeps a
-private one.  Counterexamples replay through one simulator per call.
+:func:`run_schedule` is the one BMC/k-induction schedule, shared with
+:func:`~repro.formal.equiv.check_equivalence` (Sheeran, Singh and
+Stålmarck, FMCAD 2000; Eén and Sörensson, 2003).  The base case asks
+one SAT question per obligation and frame ("bad at cycle t?") from the
+initial state, so a shallow counterexample never pays for a deep
+unrolling.  Once frame t is clean, the step at k = t + 1 asks whether
+t + 1 clean frames from *any* register state force a clean frame
+t + 1, so a proof that closes at k never unrolls the base case past
+frame k - 1.  Frames share structure through the interning factory,
+which is what keeps k-cycle unrollings of register designs tractable.
+One :class:`Solver` answers every base-case question of a
+:func:`prove` call, so each node of the unrolling is encoded once;
+each property's step keeps a private one.  Counterexamples replay
+through one simulator per call.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ class FormalConfig:
 
     depth: int = 8          # BMC unrolling bound (frames 0..depth)
     budget: int = 100_000   # solver conflict budget per SAT question
-    induction: bool = True  # attempt k-induction after a clean BMC
+    induction: bool = True  # step k after each clean base frame k-1
     max_nodes: int = 200_000  # encoder net-frame budget
 
     def to_dict(self) -> dict:
@@ -78,9 +85,11 @@ def default_properties(circuit) -> list[str]:
 
 def _bad_builder(prop: str, enc: Encoder):
     """frame -> list of "the property is violated here" obligations
-    (one per multi-driver net / pin bit).  Obligations are solved as
-    separate SAT questions so each question's support stays the cone of
-    one net, not the union over the whole design."""
+    (one per multi-driver net / pin bit), each asked as its own SAT
+    question.  One disjunction per frame measured no clear win (2-vCPU
+    Xeon, CPython 3.11): it took tinycpu's base case over frames 0..8
+    from 16.4 s to 11.1 s but am2901's from 8.8 s to 9.5 s, and it
+    would change which witness a refutation reports."""
     ctx = enc.ctx
     f = enc.f
     kind, _, arg = prop.partition(":")
@@ -151,7 +160,6 @@ def prove(circuit, properties: list[str] | None = None,
 
 def _prove_into(circuit, props: list[str], cfg: FormalConfig,
                 report: ProofReport) -> None:
-    stats = report.stats
     ctx = ClassView(circuit.design)
     factory = ExprFactory()
     try:
@@ -161,25 +169,54 @@ def _prove_into(circuit, props: list[str], cfg: FormalConfig,
                           for p in props]
         return
     sequential = bool(circuit.netlist.regs)
-    depth = cfg.depth if sequential else 0
     solver = Solver()
     replayer = Replayer()
     for prop in props:
         report.results.append(
-            _check_property(circuit, ctx, enc, factory, prop, depth,
-                            sequential, cfg, stats, solver, replayer))
+            _check_property(circuit, ctx, enc, prop, sequential, cfg,
+                            report.stats, solver, replayer))
     report.clauses = factory.node_count
 
 
-def _check_property(circuit, ctx, enc: Encoder, factory: ExprFactory,
-                    prop: str, depth: int, sequential: bool,
-                    cfg: FormalConfig, stats: SolverStats, solver: Solver,
-                    replayer: Replayer) -> PropertyResult:
+def _check_property(circuit, ctx, enc: Encoder, prop: str,
+                    sequential: bool, cfg: FormalConfig, stats: SolverStats,
+                    solver: Solver, replayer: Replayer) -> PropertyResult:
     bad = _bad_builder(prop, enc)  # bad property names raise ValueError
+
+    def free():
+        step = Encoder(ctx, enc.f, init="free", max_nodes=cfg.max_nodes)
+        return _bad_builder(prop, step), (step,)
+
+    def refute(t: int, witness: dict, clean_to: int) -> PropertyResult:
+        return _refute(circuit, ctx, enc, prop, t, witness, clean_to,
+                       replayer)
+
+    return run_schedule(
+        prop, bad, free, sequential, cfg, stats, solver, refute,
+        stateless="stateless design: one frame covers every cycle",
+        noun="counterexample")
+
+
+def run_schedule(prop: str, bad, free, sequential: bool, cfg: FormalConfig,
+                 stats: SolverStats, solver: Solver, refute, *,
+                 stateless: str, noun: str) -> PropertyResult:
+    """The interleaved BMC/k-induction schedule of one property.
+
+    Frame t of the base case asks each obligation of *bad(t)* as its
+    own question on the run's BMC *solver*; the first witness goes to
+    *refute(t, witness, clean_to)*, which replays it.  Once frame t is
+    clean, the step at k = t + 1 runs (:class:`_Step`, built by *free*
+    when the first step is due); it proves the property with
+    ``depth_checked`` t.  A step that answers Unknown or defeats the
+    encoder ends induction, and the base case goes on to the depth.
+    *stateless* is the reason of a combinational proof; *noun* names
+    what a clean base case did not find."""
+    depth = cfg.depth if sequential else 0
+    step = _Step(free, cfg, stats) if sequential and cfg.induction else None
     clean_to = -1
     for t in range(depth + 1):
         try:
-            obligations = [b for b in bad(t) if b is not factory.FALSE]
+            obligations = _obligations(bad, t)
         except EncodeError as exc:
             return PropertyResult(prop, "unknown", "bmc", clean_to,
                                   reason=str(exc))
@@ -191,22 +228,74 @@ def _check_property(circuit, ctx, enc: Encoder, factory: ExprFactory,
                         reason=f"solver budget of {cfg.budget} conflicts "
                                f"exhausted at frame {t}")
                 case Sat(witness):
-                    return _refute(circuit, ctx, enc, prop, t, witness,
-                                   clean_to, replayer)
+                    return refute(t, witness, clean_to)
         clean_to = t
+        if step is not None and t < depth:
+            closed = step.closes(t + 1)
+            if closed:
+                return PropertyResult(prop, "proved", "k-induction", t,
+                                      k=t + 1)
+            if closed is None:
+                step = None
     if not sequential:
-        return PropertyResult(
-            prop, "proved", "combinational", clean_to,
-            reason="stateless design: one frame covers every cycle")
-    if cfg.induction:
-        k = _induction(ctx, factory, prop, depth, cfg, stats)
-        if k is not None:
-            return PropertyResult(prop, "proved", "k-induction",
-                                  clean_to, k=k)
+        return PropertyResult(prop, "proved", "combinational", clean_to,
+                              reason=stateless)
     return PropertyResult(
         prop, "unknown", "bmc", clean_to,
-        reason=f"no counterexample up to depth {depth}; "
-               "induction inconclusive")
+        reason=f"no {noun} up to depth {depth}; induction inconclusive")
+
+
+def _obligations(bad, t: int) -> list[tuple]:
+    return [b for b in bad(t) if b is not ExprFactory.FALSE]
+
+
+class _Step:
+    """The inductive step of one property: from a free register state
+    (over {1, 0, UNDEF}), k clean frames force a clean frame k.  Sound
+    together with a base case clean on frames 0..k-1.  *free()* returns
+    the step's bad builder and encoders; each frame is encoded when a
+    step first reaches it.  The private solver's blockers only
+    accumulate, so frame k - 1 stays blocked for every later step."""
+
+    def __init__(self, free, cfg: FormalConfig, stats: SolverStats):
+        self.free = free
+        self.cfg = cfg
+        self.stats = stats
+        self.solver = Solver()
+        self.bad = None
+        self.encoders = ()
+        self.frames: list[list[tuple]] = []
+
+    def closes(self, k: int) -> bool | None:
+        """True if step *k* proves the property, False if a state
+        escapes it (a later step may still close), None if induction is
+        over: a question ran out of budget or the encoder gave up."""
+        try:
+            if self.bad is None:
+                self.bad, self.encoders = self.free()
+            while len(self.frames) <= k:
+                self.frames.append(_obligations(self.bad, len(self.frames)))
+        except EncodeError:
+            return None
+        solver = self.solver
+        # The solver reads a variable's domain when it first encodes
+        # it: each new frame's register variables must be registered
+        # before a question reaches them, or they range over {0, 1}.
+        solver.domains.update(
+            (key, _STATE_DOMAIN) for enc in self.encoders
+            for key, kind in enc.var_kinds.items() if kind == "reg")
+        if not self.frames[k]:
+            return True
+        for b in self.frames[k - 1]:
+            solver.add_blocker(b)
+        for target in self.frames[k]:
+            match solver.solve((target,), budget=self.cfg.budget,
+                               stats=self.stats):
+                case Unknown():
+                    return None
+                case Sat():
+                    return False
+        return True
 
 
 def _refute(circuit, ctx, enc: Encoder, prop: str, t: int, witness: dict,
@@ -229,55 +318,6 @@ def _refute(circuit, ctx, enc: Encoder, prop: str, t: int, witness: dict,
             counterexample=cex)
     return PropertyResult(prop, "counterexample", "bmc", t,
                           counterexample=cex)
-
-
-def _induction(ctx, factory: ExprFactory, prop: str, depth: int,
-               cfg: FormalConfig, stats: SolverStats) -> int | None:
-    """Try to close the proof with k-induction: from *any* register
-    state (free over {1, 0, UNDEF}), k clean cycles force a clean
-    cycle k+1.  Sound together with the BMC base case (clean to
-    ``depth`` >= k from the real initial state).  Returns the proving
-    k, or None."""
-    try:
-        enc = Encoder(ctx, factory, init="free", max_nodes=cfg.max_nodes)
-        bad = _bad_builder(prop, enc)
-        bads = [[b for b in bad(t) if b is not factory.FALSE]
-                for t in range(depth + 1)]
-    except (EncodeError, ValueError):
-        return None
-    return _induction_loop(bads, depth, cfg, stats, _reg_domains([enc]))
-
-
-def _reg_domains(encoders) -> dict:
-    """Register-state variables range over {1, 0, UNDEF}."""
-    return {key: _STATE_DOMAIN for enc in encoders
-            for key, kind in enc.var_kinds.items() if kind == "reg"}
-
-
-def _induction_loop(bads, depth: int, cfg: FormalConfig,
-                    stats: SolverStats, domains: dict) -> int | None:
-    """Shared k-loop: UNSAT for every frame-k obligation, given every
-    frame-<k obligation blocked, closes the proof at k.  The loop keeps
-    a solver of its own: its blockers only accumulate, so each frame's
-    obligations are blocked for good once the loop moves past it."""
-    solver = Solver(domains)
-    for k in range(1, depth + 1):
-        targets = bads[k]
-        if not targets:
-            return k
-        for b in bads[k - 1]:
-            solver.add_blocker(b)
-        failed = False
-        for target in targets:
-            match solver.solve((target,), budget=cfg.budget, stats=stats):
-                case Unknown():
-                    return None
-                case Sat():
-                    failed = True
-                    break
-        if not failed:
-            return k
-    return None
 
 
 __all__ = [

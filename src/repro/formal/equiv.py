@@ -3,10 +3,10 @@
 :func:`check_equivalence` builds both designs' frame encodings in one
 shared :class:`ExprFactory`, renaming primary-input variables through
 the ``input_key`` hook so both sides read the *same* variables — the
-classic miter, minus the XOR tree: the "bad" expression is an OR of
-``differs`` comparators over the paired OUT-pin bits, asked frame by
-frame like any other BMC property and closed with k-induction on the
-product machine.
+classic miter, minus the XOR tree: one "bad" obligation per paired
+OUT-pin bit, a ``differs`` comparator, run through the BMC/k-induction
+schedule of every property (:func:`~repro.formal.bmc.run_schedule`),
+whose step runs on the product machine.
 
 Verdicts (surfaced by ``zeusc equiv`` as PROVED-EQUIVALENT /
 COUNTEREXAMPLE / UNKNOWN):
@@ -28,17 +28,11 @@ trees) instead of sampling them.
 from __future__ import annotations
 
 from ..core.view import ClassView
-from .bmc import FormalConfig, _induction_loop, _reg_domains
+from .bmc import FormalConfig, run_schedule
 from .encode import EncodeError, Encoder
 from .replay import replay_equiv
 from .report import Counterexample, ProofReport, PropertyResult
-from .solver import (
-    ExprFactory,
-    Sat,
-    Solver,
-    SolverStats,
-    Unknown,
-)
+from .solver import ExprFactory, Solver
 
 
 def _interface(ctx) -> tuple[dict[str, list], dict[str, list]]:
@@ -128,7 +122,6 @@ def check_equivalence(a, b,
 
 
 def _equiv_into(a, b, cfg: FormalConfig, report: ProofReport) -> None:
-    stats = report.stats
     ctx_a, ctx_b = ClassView(a.design), ClassView(b.design)
     ins_a, ins_b, outs_a, outs_b = _match_interfaces(ctx_a, ctx_b)
     out_names = sorted(outs_a)
@@ -149,71 +142,34 @@ def _equiv_into(a, b, cfg: FormalConfig, report: ProofReport) -> None:
         def bad(t: int) -> list[tuple]:
             # One obligation per OUT bit: each SAT question carries one
             # comparator cone, not the union over the interface.
-            diffs = []
-            for name in out_names:
-                for na, nb in zip(outs_a[name], outs_b[name]):
-                    d = factory.differs(
-                        enc_a.peek(ctx_a.idx(na), t),
-                        enc_b.peek(ctx_b.idx(nb), t))
-                    if d is not factory.FALSE:
-                        diffs.append(d)
-            return diffs
+            return [factory.differs(enc_a.peek(ctx_a.idx(na), t),
+                                    enc_b.peek(ctx_b.idx(nb), t))
+                    for name in out_names
+                    for na, nb in zip(outs_a[name], outs_b[name])]
         return bad
 
     try:
         enc_a, enc_b = encoders("undef")
-        bad = miter(enc_a, enc_b)
     except EncodeError as exc:
         report.results = [PropertyResult("equivalent", "unknown",
                                          reason=str(exc))]
         return
 
-    sequential = bool(a.netlist.regs) or bool(b.netlist.regs)
-    depth = cfg.depth if sequential else 0
-    solver = Solver()
-    clean_to = -1
-    for t in range(depth + 1):
-        try:
-            obligations = bad(t)
-        except EncodeError as exc:
-            report.results = [PropertyResult("equivalent", "unknown",
-                                             "bmc", clean_to,
-                                             reason=str(exc))]
-            return
-        for expr in obligations:
-            match solver.solve((expr,), budget=cfg.budget, stats=stats):
-                case Unknown():
-                    report.results = [PropertyResult(
-                        "equivalent", "unknown", "bmc", clean_to,
-                        reason=f"solver budget of {cfg.budget} conflicts "
-                               f"exhausted at frame {t}")]
-                    report.clauses = factory.node_count
-                    return
-                case Sat(witness):
-                    report.results = [_refute(a, b, out_names, ins_a,
-                                              enc_a, enc_b, t, witness,
-                                              clean_to)]
-                    report.clauses = factory.node_count
-                    return
-        clean_to = t
+    def free():
+        pair = encoders("free")
+        return miter(*pair), pair
 
-    result = None
-    if not sequential:
-        result = PropertyResult(
-            "equivalent", "proved", "combinational", clean_to,
-            reason="stateless designs: one frame covers every cycle "
-                   "(over fully-defined inputs)")
-    elif cfg.induction:
-        k = _product_induction(encoders, miter, depth, cfg, stats)
-        if k is not None:
-            result = PropertyResult("equivalent", "proved",
-                                    "k-induction", clean_to, k=k)
-    if result is None:
-        result = PropertyResult(
-            "equivalent", "unknown", "bmc", clean_to,
-            reason=f"no mismatch up to depth {depth}; "
-                   "induction inconclusive")
-    report.results = [result]
+    def refute(t: int, witness: dict, clean_to: int) -> PropertyResult:
+        return _refute(a, b, out_names, ins_a, enc_a, enc_b, t, witness,
+                       clean_to)
+
+    report.results = [run_schedule(
+        "equivalent", miter(enc_a, enc_b), free,
+        bool(a.netlist.regs) or bool(b.netlist.regs), cfg, report.stats,
+        Solver(), refute,
+        stateless="stateless designs: one frame covers every cycle "
+                  "(over fully-defined inputs)",
+        noun="mismatch")]
     report.clauses = factory.node_count
 
 
@@ -242,18 +198,3 @@ def _refute(a, b, out_names, ins: dict, enc_a: Encoder, enc_b: Encoder,
             counterexample=cex)
     return PropertyResult("equivalent", "counterexample", "bmc", t,
                           counterexample=cex)
-
-
-def _product_induction(encoders, miter, depth: int, cfg: FormalConfig,
-                       stats: SolverStats) -> int | None:
-    """k-induction over the product machine: from arbitrary register
-    states on both sides, k mismatch-free cycles force a
-    mismatch-free cycle k+1."""
-    try:
-        enc_a, enc_b = encoders("free")
-        bad = miter(enc_a, enc_b)
-        bads = [bad(t) for t in range(depth + 1)]
-    except EncodeError:
-        return None
-    return _induction_loop(bads, depth, cfg, stats,
-                           _reg_domains([enc_a, enc_b]))

@@ -39,10 +39,9 @@ re-running it through the levelized simulator.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
-from ..obs.schema import DESIGN, OneOf, design_block, validate
+from ..obs.schema import DESIGN, OneOf, design_block, json_text, validate
 from .solver import SolverStats
 
 SCHEMA = "zeus.proof/1"
@@ -210,7 +209,7 @@ class ProofReport:
     def render_json(self) -> str:
         report = self.to_dict()
         validate_proof_report(report)
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return json_text(report)
 
 
 def write_proof_report(path: str, report: "ProofReport") -> None:

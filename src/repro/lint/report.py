@@ -21,18 +21,27 @@ checked by :func:`validate_lint_report`:
                     "line", "column", "suppressed"}]
     }
 
+A finding's ``code`` is ``""`` for a rule without one, and its ``net``
+is ``""`` for a design-wide finding.
+
 Counts in ``summary`` exclude suppressed findings; the ``findings`` list
 includes them (flagged) so consumers can audit suppressions.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from ..lang.errors import Severity
 from ..lang.source import SourceText
-from ..obs.schema import DESIGN, OneOf, design_block, sarif_log, validate
+from ..obs.schema import (
+    DESIGN,
+    OneOf,
+    design_block,
+    json_text,
+    sarif_log,
+    validate,
+)
 from .model import RULES, Finding, LintConfig
 from .prover import ProverResult
 
@@ -159,7 +168,7 @@ class LintReport:
     def render_json(self) -> str:
         report = self.to_dict()
         validate_lint_report(report)
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return json_text(report)
 
     def render_sarif(self) -> str:
         """Minimal SARIF 2.1.0: one run, one rule per registered rule,
@@ -208,8 +217,10 @@ _LINT = {
                 "notes": int, "suppressed": int, "by_rule": {str: int}},
     "findings": [{
         "rule": str,
+        "code": str,
         "severity": OneOf("severity", *_LEVELS.values()),
         "message": str,
+        "net": str,
         "line": int,
         "column": int,
         "suppressed": bool,

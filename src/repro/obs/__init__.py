@@ -10,7 +10,7 @@ Two generations:
   off every :class:`~repro.core.simulator.Simulator` as ``sim.metrics``;
 * :mod:`repro.obs.flight` -- the cycle-level flight recorder: a bounded
   ring of per-cycle events (firings with causes, latches, pokes,
-  violations) fed by all four engines (``Simulator(..., flight=N)``);
+  violations) fed by all three evaluators (``Simulator(..., flight=N)``);
 * :mod:`repro.obs.causal` -- the "why" explainer: walks recorded
   firings backward through netlist fan-in to the minimal causal cone
   for ``(net, cycle)``;

@@ -103,10 +103,18 @@ carrying a causal explanation (:mod:`repro.obs.causal`):
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING
 
-from .schema import DESIGN, NUM, OPT_NUM, OneOf, check, design_block, validate
+from .schema import (
+    DESIGN,
+    NUM,
+    OPT_NUM,
+    OneOf,
+    check,
+    design_block,
+    json_text,
+    validate,
+)
 from .spans import SpanRegistry
 
 if TYPE_CHECKING:
@@ -224,8 +232,7 @@ def write_metrics(path: str, report: dict) -> None:
     """Validate and write a report as JSON."""
     validate_report(report)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json_text(report))
 
 
 #: The ``zeus.metrics/1`` shape; ``design`` is required unless the
@@ -246,7 +253,9 @@ _METRICS = {
                                 "occupied": int}]},
     },
     "compile?": {"phases": dict,
-                 "spans": [{"name": str, "duration_s": NUM}]},
+                 "self_phases": {str: NUM},
+                 "spans": [{"name": str, "path": str, "start": NUM,
+                            "duration_s": NUM, "depth": int}]},
     "sim?": {
         "cycles": int, "firings": int, "gate_evals": int,
         "driver_evals": int, "propagation_steps": int, "latches": int,
@@ -277,7 +286,7 @@ _METRICS = {
     "timing?": {
         "model": str,
         "worst_arrival": NUM,
-        "min_clock_period?": OPT_NUM,
+        "min_clock_period": OPT_NUM,
         "paths_reported": int, "paths_pruned": int, "violations": int,
         "solver": {"sat_calls": int, "decisions": int, "nodes": int,
                    "budget_exhausted": bool},
@@ -367,8 +376,7 @@ def write_trace(path: str, report: dict) -> None:
     """Validate and write a ``zeus.trace/1`` report as JSON."""
     validate_trace_report(report)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json_text(report))
 
 
 _OPT_INT = (int, type(None))

@@ -7,7 +7,8 @@ against it:
 * a dict is a record: key -> shape; a key ending in ``?`` is optional;
 * a type, or a tuple of types, is a leaf checked with ``isinstance``;
 * ``[shape]`` is a list whose every item has *shape*;
-* ``{str: int}`` is an object mapping names (rules, endpoints) to ints;
+* ``{str: T}`` is an object mapping names (rules, endpoints, phases)
+  to values of the type (or tuple of types) *T*;
 * :class:`OneOf` is a string from a fixed set.
 
 A path names a value the way the messages do: ``design.name``,
@@ -20,7 +21,8 @@ report's validator checks after :func:`validate` returns.
 
 The module also builds the two blocks the reports share: the ``design``
 block (:func:`design_block`, shape :data:`DESIGN`) and the SARIF 2.1.0
-log that ``zeusc lint`` and ``zeusc timing`` write (:func:`sarif_log`).
+log that ``zeusc lint`` and ``zeusc timing`` write (:func:`sarif_log`);
+:func:`json_text` is the one JSON text form every report is written in.
 """
 
 from __future__ import annotations
@@ -75,10 +77,13 @@ def check(kind: str, value, shape, path: str) -> None:
         if str not in shape:
             _record(kind, value, shape, path)
             return
+        want = shape[str]
         for name, item in value.items():
-            if not isinstance(item, shape[str]):
-                raise ValueError(f"{kind} report: {path}[{name!r}] must "
-                                 f"be {shape[str].__name__}")
+            if not isinstance(item, want):
+                names = (want,) if isinstance(want, type) else want
+                raise ValueError(
+                    f"{kind} report: {path}[{name!r}] must be "
+                    f"{' or '.join(t.__name__ for t in names)}")
 
 
 def _expect(kind: str, value, types, path: str) -> None:
@@ -99,6 +104,12 @@ def _record(kind: str, obj: dict, shape: dict, path: str) -> None:
         elif not (isinstance(sub, (type, tuple))
                   and isinstance(obj[name], sub)):
             check(kind, obj[name], sub, f"{path}.{name}" if path else name)
+
+
+def json_text(doc) -> str:
+    """*doc* as the JSON text every report is written in: two-space
+    indent, sorted keys, one trailing newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def design_block(name: str, stats: dict) -> dict:
@@ -124,4 +135,4 @@ def sarif_log(tool: str, rules: list[dict], results: list[dict]) -> str:
             "results": results,
         }],
     }
-    return json.dumps(log, indent=2, sort_keys=True) + "\n"
+    return json_text(log)

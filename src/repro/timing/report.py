@@ -49,7 +49,6 @@ SARIF output follows the lint shape with one synthetic rule,
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from ..formal.solver import SolverStats
@@ -59,6 +58,7 @@ from ..obs.schema import (
     OPT_NUM,
     OneOf,
     design_block,
+    json_text,
     sarif_log,
     validate,
 )
@@ -209,7 +209,7 @@ class TimingReport:
     def render_json(self) -> str:
         report = self.to_dict()
         validate_timing_report(report)
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return json_text(report)
 
     def render_sarif(self) -> str:
         """Minimal SARIF 2.1.0, lint-shaped: one rule

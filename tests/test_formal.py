@@ -17,6 +17,7 @@ import repro
 from repro.analysis import exhaustive_equivalent
 from repro.core.values import GATE_FUNCTIONS, Logic
 from repro.formal import (
+    Encoder,
     FormalConfig,
     Sat,
     Unknown,
@@ -84,6 +85,22 @@ TYPE t = COMPONENT (IN d: boolean; OUT q: boolean) IS
 SIGNAL r: REG;
 BEGIN
     r(d, q)
+END;
+SIGNAL u: t;
+"""
+
+#: Every two-valued state of r conflicts on z (the unconditional driver
+#: plus exactly one guarded one), but the UNDEF reset state does not:
+#: its guards only maybe-drive.  Frame 1 loads r from d and conflicts.
+UNDEF_ONLY_CLEAN = """
+TYPE t = COMPONENT (IN d: boolean; OUT y: boolean) IS
+SIGNAL r: REG; q: boolean; z: multiplex;
+BEGIN
+    r(d, q);
+    z := 0;
+    IF q THEN z := 1 END;
+    IF NOT q THEN z := 0 END;
+    y := q
 END;
 SIGNAL u: t;
 """
@@ -286,6 +303,37 @@ SIGNAL u: t;
         assert r.verdict == "proved"
         assert r.method in ("k-induction", "combinational")
 
+    @pytest.mark.parametrize("induction", [True, False])
+    def test_step_registers_range_over_undef(self, induction):
+        # Blocking frame 0 in the step leaves only the UNDEF register
+        # state; a step whose registers ranged over {0, 1} alone would
+        # find no state at all and "prove" the property at k = 1.
+        report = prove(compile_lenient(UNDEF_ONLY_CLEAN), ["no-conflict"],
+                       FormalConfig(induction=induction))
+        (r,) = report.results
+        assert (r.verdict, r.method) == ("counterexample", "bmc")
+        assert r.counterexample.cycle == 1
+        assert r.counterexample.replay_confirmed
+
+    @pytest.mark.parametrize("name", ["blackjack", "patternmatch"])
+    def test_induction_stops_the_unrolling(self, name, monkeypatch):
+        # The step at k = 1 runs once frame 0 is clean, and it closes:
+        # no encoder builds a frame beyond 1.
+        frames = set()
+        net = Encoder.net
+
+        def recording(self, ci, t):
+            frames.add(t)
+            return net(self, ci, t)
+
+        monkeypatch.setattr(Encoder, "net", recording)
+        report = prove(compile_lenient(ALL_PROGRAMS[name], name=name),
+                       ["no-conflict"])
+        (r,) = report.results
+        assert (r.verdict, r.method, r.k, r.depth_checked) == (
+            "proved", "k-induction", 1, 0)
+        assert max(frames) == 1
+
     def test_default_properties_cover_out_pins(self):
         # z is a multiplex pin (INOUT), so only y is a default
         # out-defined obligation.
@@ -370,6 +418,8 @@ class TestEquiv:
         report = check_equivalence(compile_lenient(REGGED, name="x"),
                                    compile_lenient(REGGED, name="y"))
         assert report.verdict == "proved"
+        (r,) = report.results
+        assert (r.method, r.k, r.depth_checked) == ("k-induction", 1, 0)
 
     def test_interface_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -140,17 +140,14 @@ def _lane_trace():
 # are objects keyed by names from the design (rules, endpoints, phases,
 # poke paths): their entries are retyped, never deleted.  Paths through
 # the explanation tree are written with one ``children[]`` for any depth.
-_SPANS_FREE = {"compile.self_phases", "compile.spans[].path",
-               "compile.spans[].start", "compile.spans[].depth",
-               "compile.spans[].meta"}
+_SPANS_FREE = {"compile.spans[].meta"}
 _NODE_OPTIONAL = {"explanation", "explanation.tree[].children"}
 CASES = {
     "lint-htree": (
         "lint", validate_lint_report, _lint,
         {"summary.by_rule"},
         {"prover"},
-        {"findings[].code", "findings[].net",
-         "prover.nets[].pairs[].witness"},
+        {"prover.nets[].pairs[].witness"},
     ),
     "timing-falsepath": (
         "timing", validate_timing_report, _timing,
@@ -170,15 +167,15 @@ CASES = {
     ),
     "metrics": (
         "metrics", validate_report, _metrics,
-        {"compile.phases", "lint.by_rule"},
+        {"compile.phases", "compile.self_phases", "lint.by_rule"},
         {"compile", "sim", "sim.engine", "sim.batched", "lint",
-         "lint.prover", "formal", "timing", "timing.min_clock_period",
-         "wall"},
+         "lint.prover", "formal", "timing", "wall"},
         _SPANS_FREE | {"sim.firings_by_cycle[]", "sim.steps_by_cycle[]"},
     ),
     "metrics-service": (
         "metrics", validate_report, _service,
-        {"compile.phases", "service.requests.by_endpoint"},
+        {"compile.phases", "compile.self_phases",
+         "service.requests.by_endpoint"},
         {"compile"},
         _SPANS_FREE,
     ),
